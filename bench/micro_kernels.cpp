@@ -424,20 +424,24 @@ void write_speedup_report(std::chrono::steady_clock::time_point start) {
   // ------------------------------------------------------------------
   // Per-tier kernel and single-sample inference timings: force each
   // supported dispatch tier in turn and time the coarse model's GEMM
-  // (64x317 * 317x512), the single-row GEMV path, and the full
-  // diagnose() round trip. The avx2 column is null on hardware without
-  // AVX2+FMA. simd_single_speedup (avx2 vs scalar single-sample
+  // (64x317 * 317x512, two parallel row blocks), the same GEMM at one
+  // 32-row block (the serial regime a served batch runs in), the FC1
+  // input gradient (32x512 * (317x512)^T), the single-row GEMV path, and
+  // the full diagnose() round trip. The avx2 column is null on hardware
+  // without AVX2+FMA. simd_single_speedup (avx2 vs scalar single-sample
   // inference) is the PR acceptance gate: >= 1.5x on AVX2 hardware.
   const tensor::Matrix gemm_a = random_matrix(64, 317, 21);
   const tensor::Matrix gemm_b = random_matrix(317, 512, 22);
   const tensor::Matrix gemv_x = random_matrix(1, 317, 23);
-  const auto time_matmul = [&](const tensor::Matrix& a,
-                               const tensor::Matrix& b, std::size_t reps) {
+  const tensor::Matrix gemm32_a = random_matrix(32, 317, 24);
+  const tensor::Matrix grad32 = random_matrix(32, 512, 25);
+  const auto time_product = [&](const auto& product, const tensor::Matrix& a,
+                                const tensor::Matrix& b, std::size_t reps) {
     tensor::Matrix c;
-    tensor::gemm(a, b, c);  // warm-up
+    product(a, b, c);  // warm-up
     const auto t0 = clock::now();
     for (std::size_t r = 0; r < reps; ++r) {
-      tensor::gemm(a, b, c);
+      product(a, b, c);
       benchmark::DoNotOptimize(c.data());
     }
     return std::chrono::duration<double>(clock::now() - t0).count() /
@@ -468,13 +472,18 @@ void write_speedup_report(std::chrono::steady_clock::time_point start) {
   };
   struct TierTiming {
     double gemm_seconds = 0.0;
+    double gemm32_seconds = 0.0;
+    double gemm_a_bt_seconds = 0.0;
     double gemv_seconds = 0.0;
     double infer_rps = 0.0;
   };
   const auto time_tier = [&](tensor::KernelTier tier, TierTiming* out) {
     if (!tensor::force_kernel_tier(tier)) return false;
-    out->gemm_seconds = time_matmul(gemm_a, gemm_b, 40);
-    out->gemv_seconds = time_matmul(gemv_x, gemm_b, 2000);
+    out->gemm_seconds = time_product(tensor::gemm, gemm_a, gemm_b, 40);
+    out->gemm32_seconds = time_product(tensor::gemm, gemm32_a, gemm_b, 80);
+    out->gemm_a_bt_seconds =
+        time_product(tensor::gemm_a_bt, grad32, gemm_b, 80);
+    out->gemv_seconds = time_product(tensor::gemm, gemv_x, gemm_b, 2000);
     out->infer_rps = infer_rps();
     return true;
   };
@@ -486,16 +495,20 @@ void write_speedup_report(std::chrono::steady_clock::time_point start) {
   const double simd_single_speedup =
       have_avx2 ? avx2_timing.infer_rps / scalar_timing.infer_rps : 0.0;
   std::printf(
-      "kernel tiers: scalar gemm %.3f ms, gemv %.1f us, single-infer "
-      "%.1f /s\n",
-      scalar_timing.gemm_seconds * 1e3, scalar_timing.gemv_seconds * 1e6,
-      scalar_timing.infer_rps);
+      "kernel tiers: scalar gemm %.3f ms, gemm m=32 %.3f ms, gemm_a_bt "
+      "%.3f ms, gemv %.1f us, single-infer %.1f /s\n",
+      scalar_timing.gemm_seconds * 1e3, scalar_timing.gemm32_seconds * 1e3,
+      scalar_timing.gemm_a_bt_seconds * 1e3,
+      scalar_timing.gemv_seconds * 1e6, scalar_timing.infer_rps);
   if (have_avx2)
     std::printf(
-        "              avx2   gemm %.3f ms, gemv %.1f us, single-infer "
-        "%.1f /s (simd single-sample speedup %.2fx)\n",
-        avx2_timing.gemm_seconds * 1e3, avx2_timing.gemv_seconds * 1e6,
-        avx2_timing.infer_rps, simd_single_speedup);
+        "              avx2   gemm %.3f ms, gemm m=32 %.3f ms, gemm_a_bt "
+        "%.3f ms, gemv %.1f us, single-infer %.1f /s (simd single-sample "
+        "speedup %.2fx)\n",
+        avx2_timing.gemm_seconds * 1e3, avx2_timing.gemm32_seconds * 1e3,
+        avx2_timing.gemm_a_bt_seconds * 1e3,
+        avx2_timing.gemv_seconds * 1e6, avx2_timing.infer_rps,
+        simd_single_speedup);
   else
     std::printf("              avx2   unsupported on this host (null)\n");
 
@@ -602,6 +615,14 @@ void write_speedup_report(std::chrono::steady_clock::time_point start) {
       << ",\n"
       << "  \"gemm_seconds_avx2\": " << avx2_field(avx2_timing.gemm_seconds)
       << ",\n"
+      << "  \"gemm32_seconds_scalar\": " << scalar_timing.gemm32_seconds
+      << ",\n"
+      << "  \"gemm32_seconds_avx2\": "
+      << avx2_field(avx2_timing.gemm32_seconds) << ",\n"
+      << "  \"gemm_a_bt_seconds_scalar\": "
+      << scalar_timing.gemm_a_bt_seconds << ",\n"
+      << "  \"gemm_a_bt_seconds_avx2\": "
+      << avx2_field(avx2_timing.gemm_a_bt_seconds) << ",\n"
       << "  \"gemv_seconds_scalar\": " << scalar_timing.gemv_seconds
       << ",\n"
       << "  \"gemv_seconds_avx2\": " << avx2_field(avx2_timing.gemv_seconds)

@@ -23,8 +23,9 @@ struct AttentionResult {
 };
 
 /// Runs one forward + one input-gradient backward pass on a single sample.
-/// Parameter gradients accumulated by the pass are zeroed before returning,
-/// so attention never perturbs training state.
+/// The backward is input-only (CoarseNet::backward_inputs): it computes no
+/// parameter gradient and accumulates nothing on the net, so attention
+/// never perturbs training state.
 AttentionResult compute_attention(nn::CoarseNet& net,
                                   const nn::LandBatch& sample,
                                   const data::FeatureSpace& fs);

@@ -272,8 +272,14 @@ TrainingHistory train_coarse(CoarseNet& net, const CoarseDataset& data,
           std::min(train_rows.size(), begin + config.batch_size);
       train_loss +=
           engine.train_step(train_rows.data() + begin, end - begin, params);
-      clip_gradients(params, config.clip_norm);
-      optimizer.step();
+      {
+        DIAGNET_SPAN("trainer.step.clip");
+        clip_gradients(params, config.clip_norm);
+      }
+      {
+        DIAGNET_SPAN("trainer.step.optimizer");
+        optimizer.step();
+      }
     }
     train_loss /= static_cast<double>(train_rows.size());
 

@@ -224,7 +224,7 @@ class FdStreambuf : public std::streambuf {
 /// closing `fd` (only after the join, so a shutdown() from the stop path
 /// can never hit a recycled descriptor).
 struct TcpSession {
-  explicit TcpSession(int fd) : fd(fd) {}
+  explicit TcpSession(int conn_fd) : fd(conn_fd) {}
   const int fd;
   std::atomic<bool> done{false};
   std::thread thread;

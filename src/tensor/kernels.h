@@ -12,6 +12,9 @@
 //    tier keeps it by being the only implementation both paths compile to.
 //  * reduce_* and dot fix their own lane-combination order, so the same
 //    input always yields the same bits on the same tier.
+//  * The block entries (gemm_acc, gemm_bt) may tile, pack and reorder their
+//    loops freely, but never an element's reduction: gemm_acc reproduces
+//    the row-at-a-time axpy groups and gemm_bt reproduces dot, bit for bit.
 // Integer kernels (quantize_row, qgemv) are exact and therefore produce
 // identical results on every tier.
 #pragma once
@@ -36,8 +39,23 @@ struct Kernels {
   /// the row it would have been inside a batch.
   void (*gemv)(double* c, const double* a, const double* b, std::size_t k,
                std::size_t n, std::size_t ldb);
+  /// c[i*ldc + j] += sum_kk A(i, kk) * b[kk*ldb + j] for i < m, j < n,
+  /// where A(i, kk) = a[i*a_rs + kk*a_ks] (so one entry serves both A·B
+  /// and Aᵀ·B). Every element must get the bits of this tier's own
+  /// axpy4/axpy1 groups over ascending k, applied to its row with C's
+  /// current value as the start: a row computed inside a block equals the
+  /// same row computed by gemv, whatever the block's height.
+  void (*gemm_acc)(double* c, std::size_t ldc, const double* a,
+                   std::size_t a_rs, std::size_t a_ks, const double* b,
+                   std::size_t ldb, std::size_t m, std::size_t k,
+                   std::size_t n);
   /// sum_j a[j] * b[j]
   double (*dot)(const double* a, const double* b, std::size_t n);
+  /// c[i*ldc + j] = dot(a + i*lda, b + j*ldb, k) for i < m, j < n. Every
+  /// element must get exactly the bits of this tier's own dot.
+  void (*gemm_bt)(double* c, std::size_t ldc, const double* a,
+                  std::size_t lda, const double* b, std::size_t ldb,
+                  std::size_t m, std::size_t k, std::size_t n);
   /// sum_j v[j]
   double (*reduce_sum)(const double* v, std::size_t n);
   /// sum_j (v[j] - mean)^2

@@ -5,9 +5,10 @@
 //
 // Rounding-order contract (see kernels.h): axpy4 is a chain of four FMAs
 // rooted at c[j], which is bit-identical to calling axpy1 four times — so
-// on this tier the fused GEMM groups and any sequential fallback agree
-// exactly. Horizontal reductions fix one lane-combination order:
-// (lo128 + hi128), then lane0 + lane1.
+// on this tier the fused GEMM groups, the register tiles of gemm_acc and
+// any sequential fallback agree exactly. Horizontal reductions fix one
+// lane-combination order: (lo128 + hi128), then lane0 + lane1; gemm_bt's
+// dot blocks keep dot's accumulators and that combine.
 #include "tensor/kernels.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -16,9 +17,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #define DIAGNET_AVX2 __attribute__((target("avx2,fma")))
+// Fully unrolls the per-row loops of the register tiles, so their
+// accumulator arrays live in ymm registers rather than on the stack.
+#define DIAGNET_UNROLL _Pragma("GCC unroll 8")
 
 namespace diagnet::tensor::detail {
 
@@ -75,20 +81,122 @@ DIAGNET_AVX2 void avx2_axpy1(double* c, const double* b, double alpha,
   for (; j < n; ++j) c[j] = std::fma(alpha, b[j], c[j]);
 }
 
-/// Single-row product in the exact fused-group structure of the tiled
-/// GEMM row loop (groups of four ascending k via axpy4, remainder via
-/// axpy1) — streaming B in memory order keeps the prefetcher happy, and
-/// bit-equality with the batch path is by construction. (A register-
-/// blocked column variant was measured slower here: its 4 KiB row stride
-/// per k step defeats prefetch on the 1.3 MB weight panels.)
+/// Row-at-a-time C(i, :) += A(i, :) · B in the fused-group structure
+/// (groups of four ascending k via axpy4, remainder via axpy1). This is
+/// gemv, and gemm_acc's path for the columns past its last full panel.
+DIAGNET_AVX2 void axpy_rows(double* c, std::size_t ldc, const double* a,
+                            std::size_t a_rs, std::size_t a_ks,
+                            const double* b, std::size_t ldb, std::size_t m,
+                            std::size_t k, std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i) {
+    double* ci = c + i * ldc;
+    const double* ai = a + i * a_rs;
+    std::size_t kk = 0;
+    for (; kk + 4 <= k; kk += 4)
+      avx2_axpy4(ci, b + kk * ldb, b + (kk + 1) * ldb, b + (kk + 2) * ldb,
+                 b + (kk + 3) * ldb, ai[kk * a_ks], ai[(kk + 1) * a_ks],
+                 ai[(kk + 2) * a_ks], ai[(kk + 3) * a_ks], n);
+    for (; kk < k; ++kk) avx2_axpy1(ci, b + kk * ldb, ai[kk * a_ks], n);
+  }
+}
+
+/// Single-row product: streaming B in memory order keeps the prefetcher
+/// happy. (A register-blocked column variant was measured slower here:
+/// its 4 KiB row stride per k step defeats prefetch on the 1.3 MB weight
+/// panels, and one row cannot amortise packing them.)
 DIAGNET_AVX2 void avx2_gemv(double* c, const double* a, const double* b,
                             std::size_t k, std::size_t n, std::size_t ldb) {
-  std::size_t kk = 0;
-  for (; kk + 4 <= k; kk += 4)
-    avx2_axpy4(c, b + kk * ldb, b + (kk + 1) * ldb, b + (kk + 2) * ldb,
-               b + (kk + 3) * ldb, a[kk], a[kk + 1], a[kk + 2], a[kk + 3],
-               n);
-  for (; kk < k; ++kk) avx2_axpy1(c, b + kk * ldb, a[kk], n);
+  axpy_rows(c, n, a, 0, 1, b, ldb, 1, k, n);
+}
+
+/// Copies the 8-column panel B(:, 0:8) k x 8 contiguous into this thread's
+/// scratch: 64-byte aligned, grown to the largest k seen (20 KiB at
+/// k = 317), so the panel sits in L1 while every tile of the block sweeps
+/// it.
+DIAGNET_AVX2 const double* pack_panel(const double* b, std::size_t ldb,
+                                      std::size_t k) {
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < 8 * k + 8) scratch.resize(8 * k + 8);
+  const auto addr = reinterpret_cast<std::uintptr_t>(scratch.data());
+  double* panel = scratch.data() + ((64 - addr % 64) % 64) / sizeof(double);
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    _mm256_store_pd(panel + 8 * kk, _mm256_loadu_pd(b + kk * ldb));
+    _mm256_store_pd(panel + 8 * kk + 4, _mm256_loadu_pd(b + kk * ldb + 4));
+  }
+  return panel;
+}
+
+/// MR x 8 register tile of C against an 8-column panel of B with row
+/// stride ldp (the packed copy, or B itself). Each element is one FMA
+/// chain over ascending k rooted at C's current value — the chain
+/// axpy4/axpy1 build lane by lane — so the tile changes no bits.
+template <int MR>
+DIAGNET_AVX2 inline void tile_mr8(double* c, std::size_t ldc,
+                                  const double* a, std::size_t a_rs,
+                                  std::size_t a_ks, const double* panel,
+                                  std::size_t ldp, std::size_t k) {
+  __m256d lo[MR], hi[MR];
+  DIAGNET_UNROLL
+  for (int r = 0; r < MR; ++r) {
+    lo[r] = _mm256_loadu_pd(c + r * ldc);
+    hi[r] = _mm256_loadu_pd(c + r * ldc + 4);
+  }
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const __m256d b_lo = _mm256_loadu_pd(panel + ldp * kk);
+    const __m256d b_hi = _mm256_loadu_pd(panel + ldp * kk + 4);
+    const double* ak = a + kk * a_ks;
+    DIAGNET_UNROLL
+    for (int r = 0; r < MR; ++r) {
+      const __m256d ar = _mm256_broadcast_sd(ak + r * a_rs);
+      lo[r] = _mm256_fmadd_pd(ar, b_lo, lo[r]);
+      hi[r] = _mm256_fmadd_pd(ar, b_hi, hi[r]);
+    }
+  }
+  DIAGNET_UNROLL
+  for (int r = 0; r < MR; ++r) {
+    _mm256_storeu_pd(c + r * ldc, lo[r]);
+    _mm256_storeu_pd(c + r * ldc + 4, hi[r]);
+  }
+}
+
+/// Per 8-column panel, a sweep of register tiles down the block: the rows
+/// split as evenly as possible into tiles of at most 6 (12 accumulators +
+/// 2 panel halves + 1 broadcast = 15 of the 16 ymm registers) and, for
+/// m >= 3, at least 3, so no tile has too few FMA chains in flight.
+DIAGNET_AVX2 void avx2_gemm_acc(double* c, std::size_t ldc, const double* a,
+                                std::size_t a_rs, std::size_t a_ks,
+                                const double* b, std::size_t ldb,
+                                std::size_t m, std::size_t k, std::size_t n) {
+  constexpr std::size_t kMr = 6;
+  // Two rows make a tile of four FMA chains, too few to hide the FMA
+  // latency; streaming B row by row is faster there.
+  if (m < 3) {
+    axpy_rows(c, ldc, a, a_rs, a_ks, b, ldb, m, k, n);
+    return;
+  }
+  const std::size_t tiles = (m + kMr - 1) / kMr;
+  // A lone tile reads each panel once, so copying it first would only add
+  // traffic: pack when several tiles share the panel.
+  const bool pack = tiles > 1;
+  const std::size_t n8 = n - n % 8;
+  for (std::size_t j0 = 0; j0 < n8; j0 += 8) {
+    const double* panel = pack ? pack_panel(b + j0, ldb, k) : b + j0;
+    const std::size_t ldp = pack ? 8 : ldb;
+    for (std::size_t t = 0, i = 0; t < tiles; ++t) {
+      const std::size_t rows = (m - i) / (tiles - t);
+      double* ct = c + i * ldc + j0;
+      const double* at = a + i * a_rs;
+      switch (rows) {
+        case 6: tile_mr8<6>(ct, ldc, at, a_rs, a_ks, panel, ldp, k); break;
+        case 5: tile_mr8<5>(ct, ldc, at, a_rs, a_ks, panel, ldp, k); break;
+        case 4: tile_mr8<4>(ct, ldc, at, a_rs, a_ks, panel, ldp, k); break;
+        default: tile_mr8<3>(ct, ldc, at, a_rs, a_ks, panel, ldp, k); break;
+      }
+      i += rows;
+    }
+  }
+  if (n8 < n)
+    axpy_rows(c + n8, ldc, a, a_rs, a_ks, b + n8, ldb, m, k, n - n8);
 }
 
 /// Four independent accumulators for ILP; the lane-combination order
@@ -118,6 +226,83 @@ DIAGNET_AVX2 double avx2_dot(const double* a, const double* b,
                                 _mm256_add_pd(acc2, acc3)));
   for (; j < n; ++j) s = std::fma(a[j], b[j], s);
   return s;
+}
+
+/// acc[r][s] += a_r[j:j+4] * b_s[j:j+4] over a 3 x 3 block of rows: six
+/// loads feed nine FMAs.
+DIAGNET_AVX2 inline void dot33_step(__m256d (&acc)[3][3], const double* a,
+                                    std::size_t lda, const double* b,
+                                    std::size_t ldb, std::size_t j) {
+  const __m256d a0 = _mm256_loadu_pd(a + j);
+  const __m256d a1 = _mm256_loadu_pd(a + lda + j);
+  const __m256d a2 = _mm256_loadu_pd(a + 2 * lda + j);
+  DIAGNET_UNROLL
+  for (int s = 0; s < 3; ++s) {
+    const __m256d bs = _mm256_loadu_pd(b + s * ldb + j);
+    acc[0][s] = _mm256_fmadd_pd(a0, bs, acc[0][s]);
+    acc[1][s] = _mm256_fmadd_pd(a1, bs, acc[1][s]);
+    acc[2][s] = _mm256_fmadd_pd(a2, bs, acc[2][s]);
+  }
+}
+
+/// c[r*ldc + s] = dot(a_r, b_s, n) for a 3 x 3 block of rows. avx2_dot's
+/// four accumulators are independent chains, each over its own lanes, so
+/// the block runs them one after another: pass q sums lanes [4q, 4q + 4)
+/// of every 16-wide stride (pass 0 also the 4-wide loop) with nine
+/// accumulators live. Combine order and FMA tail are avx2_dot's, so every
+/// element gets avx2_dot's bits.
+DIAGNET_AVX2 void dot_block33(const double* a, std::size_t lda,
+                              const double* b, std::size_t ldb,
+                              std::size_t n, double* c, std::size_t ldc) {
+  const std::size_t n16 = n - n % 16, n4 = n - n % 4;
+  __m256d part[4][3][3];
+  for (std::size_t q = 0; q < 4; ++q) {
+    __m256d acc[3][3];
+    DIAGNET_UNROLL
+    for (int r = 0; r < 3; ++r) {
+      DIAGNET_UNROLL
+      for (int s = 0; s < 3; ++s) acc[r][s] = _mm256_setzero_pd();
+    }
+    for (std::size_t j = 4 * q; j < n16; j += 16)
+      dot33_step(acc, a, lda, b, ldb, j);
+    if (q == 0)
+      for (std::size_t j = n16; j < n4; j += 4)
+        dot33_step(acc, a, lda, b, ldb, j);
+    DIAGNET_UNROLL
+    for (int r = 0; r < 3; ++r) {
+      DIAGNET_UNROLL
+      for (int s = 0; s < 3; ++s) part[q][r][s] = acc[r][s];
+    }
+  }
+  for (int r = 0; r < 3; ++r) {
+    for (int s = 0; s < 3; ++s) {
+      const double* ar = a + r * lda;
+      const double* bs = b + s * ldb;
+      double sum = hsum(
+          _mm256_add_pd(_mm256_add_pd(part[0][r][s], part[1][r][s]),
+                        _mm256_add_pd(part[2][r][s], part[3][r][s])));
+      for (std::size_t t = n4; t < n; ++t) sum = std::fma(ar[t], bs[t], sum);
+      c[r * ldc + s] = sum;
+    }
+  }
+}
+
+/// B rows in threes on the outside, so each triple (12 KiB of weight rows
+/// at k = 512) is read once per block and met by 3 x 3 dot blocks down the
+/// A rows. Rows and columns left over from the triples, and blocks of one
+/// or two rows, take avx2_dot one element at a time.
+DIAGNET_AVX2 void avx2_gemm_bt(double* c, std::size_t ldc, const double* a,
+                               std::size_t lda, const double* b,
+                               std::size_t ldb, std::size_t m, std::size_t k,
+                               std::size_t n) {
+  const std::size_t m3 = m - m % 3, n3 = n - n % 3;
+  for (std::size_t j = 0; j < n3; j += 3)
+    for (std::size_t i = 0; i < m3; i += 3)
+      dot_block33(a + i * lda, lda, b + j * ldb, ldb, k, c + i * ldc + j,
+                  ldc);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = i < m3 ? n3 : 0; j < n; ++j)
+      c[i * ldc + j] = avx2_dot(a + i * lda, b + j * ldb, k);
 }
 
 /// Below this span the vector reductions lose to a plain loop: the
@@ -243,7 +428,8 @@ DIAGNET_AVX2 void avx2_qgemv(const std::int8_t* qx, const std::int8_t* w,
 const Kernels* avx2_kernels() {
   static const Kernels table = {
       "avx2",          avx2_axpy4,      avx2_axpy1,
-      avx2_gemv,       avx2_dot,        avx2_reduce_sum,
+      avx2_gemv,       avx2_gemm_acc,   avx2_dot,
+      avx2_gemm_bt,    avx2_reduce_sum,
       avx2_reduce_sq_dev, avx2_reduce_max, avx2_reduce_absmax,
       avx2_scale_div,  kernel_quantize_row, avx2_qgemv,
   };

@@ -26,24 +26,51 @@ void scalar_axpy1(double* c, const double* b, double alpha, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) c[j] += alpha * b[j];
 }
 
-// Same fused-group structure as the tiled GEMM row loop (groups of four
-// ascending k, remainder one at a time), so scalar gemv == scalar gemm on
-// a 1-row operand bit-for-bit whatever the compiler does to either loop.
-void scalar_gemv(double* c, const double* a, const double* b, std::size_t k,
-                 std::size_t n, std::size_t ldb) {
+// The fused-group structure (groups of four ascending k, remainder one at
+// a time), each group applied to every row of the block before the next,
+// so the group's four B rows are read once per block. Every element still
+// sees its groups in ascending k, and gemv is the 1-row case of the same
+// loop, so scalar gemv == scalar gemm on a 1-row operand bit-for-bit
+// whatever the compiler does to either.
+void scalar_gemm_acc(double* c, std::size_t ldc, const double* a,
+                     std::size_t a_rs, std::size_t a_ks, const double* b,
+                     std::size_t ldb, std::size_t m, std::size_t k,
+                     std::size_t n) {
   std::size_t kk = 0;
   for (; kk + 4 <= k; kk += 4)
-    scalar_axpy4(c, b + kk * ldb, b + (kk + 1) * ldb, b + (kk + 2) * ldb,
-                 b + (kk + 3) * ldb, a[kk], a[kk + 1], a[kk + 2], a[kk + 3],
-                 n);
-  for (; kk < k; ++kk) scalar_axpy1(c, b + kk * ldb, a[kk], n);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double* ai = a + i * a_rs;
+      scalar_axpy4(c + i * ldc, b + kk * ldb, b + (kk + 1) * ldb,
+                   b + (kk + 2) * ldb, b + (kk + 3) * ldb, ai[kk * a_ks],
+                   ai[(kk + 1) * a_ks], ai[(kk + 2) * a_ks],
+                   ai[(kk + 3) * a_ks], n);
+    }
+  for (; kk < k; ++kk)
+    for (std::size_t i = 0; i < m; ++i)
+      scalar_axpy1(c + i * ldc, b + kk * ldb, a[i * a_rs + kk * a_ks], n);
 }
 
-double scalar_dot(const double* a, const double* b, std::size_t n) {
+void scalar_gemv(double* c, const double* a, const double* b, std::size_t k,
+                 std::size_t n, std::size_t ldb) {
+  scalar_gemm_acc(c, n, a, 0, 1, b, ldb, 1, k, n);
+}
+
+// Kept out of line: the simd reduction's lane split is the compiler's
+// choice, so gemm_bt must call this very body to match dot bit-for-bit.
+[[gnu::noinline]] double scalar_dot(const double* a, const double* b,
+                                    std::size_t n) {
   double s = 0.0;
 #pragma omp simd reduction(+ : s)
   for (std::size_t j = 0; j < n; ++j) s += a[j] * b[j];
   return s;
+}
+
+void scalar_gemm_bt(double* c, std::size_t ldc, const double* a,
+                    std::size_t lda, const double* b, std::size_t ldb,
+                    std::size_t m, std::size_t k, std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      c[i * ldc + j] = scalar_dot(a + i * lda, b + j * ldb, k);
 }
 
 double scalar_reduce_sum(const double* v, std::size_t n) {
@@ -111,7 +138,8 @@ void scalar_qgemv(const std::int8_t* qx, const std::int8_t* w,
 const Kernels& scalar_kernels() {
   static const Kernels table = {
       "scalar",          scalar_axpy4,      scalar_axpy1,
-      scalar_gemv,       scalar_dot,        scalar_reduce_sum,
+      scalar_gemv,       scalar_gemm_acc,   scalar_dot,
+      scalar_gemm_bt,    scalar_reduce_sum,
       scalar_reduce_sq_dev, scalar_reduce_max, scalar_reduce_absmax,
       scalar_scale_div,  kernel_quantize_row, scalar_qgemv,
   };

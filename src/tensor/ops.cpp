@@ -21,82 +21,22 @@ constexpr std::size_t kParallelMacs = 1u << 22;
 // count), so the task decomposition — and therefore every floating-point
 // reduction order — is identical for any pool size.
 constexpr std::size_t kRowBlock = 32;
-// k-tile: a kKBlock x N panel of B (64 x 512 doubles = 256 KiB at the
-// coarse model's widest layer) is streamed against a block of C rows
-// before moving on, instead of re-streaming all of B for every row.
-// kKBlock is a multiple of the 4-wide unroll, so the fused-group
-// boundaries — and with them the reduction order — are the same whether a
-// row is walked tile-by-tile or in one pass.
-constexpr std::size_t kKBlock = 64;
 
-/// Run fn(block) over ceil(n / kRowBlock) fixed-size row blocks, in
+/// Run fn(r0, rows) over ceil(n / kRowBlock) fixed-size row blocks, in
 /// parallel when the kernel is large enough. The block partition is a pure
 /// function of n, so numeric results cannot depend on the worker count.
 template <typename Fn>
 void for_row_blocks(std::size_t n, std::size_t macs, const Fn& fn) {
   const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
+  const auto run = [&](std::size_t blk) {
+    const std::size_t r0 = blk * kRowBlock;
+    fn(r0, std::min(n, r0 + kRowBlock) - r0);
+  };
   if (macs < kParallelMacs || blocks < 2) {
-    for (std::size_t b = 0; b < blocks; ++b) fn(b);
+    for (std::size_t blk = 0; blk < blocks; ++blk) run(blk);
     return;
   }
-  util::parallel_for(blocks, fn);
-}
-
-/// Tiled C(i, :) += A(i, :) · B for rows [r0, r1). The reduction order over
-/// kk for every output element is: k-tiles ascending, groups of four inside
-/// a tile, remainder one at a time — fixed by constants and by the active
-/// kernel tier, never by threading or the total row count. Every matrix
-/// shape takes this same path, so a row's bits depend only on its own
-/// contents (the batch-vs-single bit-exactness contract is structural).
-void gemm_rows(const Kernels& K, const Matrix& a, const Matrix& b,
-               Matrix& c, std::size_t r0, std::size_t r1) {
-  const std::size_t k = a.cols(), n = b.cols();
-  for (std::size_t kk0 = 0; kk0 < k; kk0 += kKBlock) {
-    const std::size_t kk1 = std::min(k, kk0 + kKBlock);
-    for (std::size_t i = r0; i < r1; ++i) {
-      double* ci = c.row_ptr(i);
-      const double* ai = a.row_ptr(i);
-      std::size_t kk = kk0;
-      for (; kk + 4 <= kk1; kk += 4)
-        K.axpy4(ci, b.row_ptr(kk), b.row_ptr(kk + 1), b.row_ptr(kk + 2),
-                b.row_ptr(kk + 3), ai[kk], ai[kk + 1], ai[kk + 2],
-                ai[kk + 3], n);
-      for (; kk < kk1; ++kk) K.axpy1(ci, b.row_ptr(kk), ai[kk], n);
-    }
-  }
-}
-
-/// C(i, :) += Σ_kk A(kk, i) · B(kk, :) for output rows [r0, r1). Four B
-/// rows are fused per pass so each C row is loaded/stored k/4 times.
-void gemm_at_b_rows(const Kernels& K, const Matrix& a, const Matrix& b,
-                    Matrix& c, std::size_t r0, std::size_t r1) {
-  const std::size_t k = a.rows(), n = b.cols();
-  std::size_t kk = 0;
-  for (; kk + 4 <= k; kk += 4) {
-    const double* a0 = a.row_ptr(kk);
-    const double* a1 = a.row_ptr(kk + 1);
-    const double* a2 = a.row_ptr(kk + 2);
-    const double* a3 = a.row_ptr(kk + 3);
-    for (std::size_t i = r0; i < r1; ++i)
-      K.axpy4(c.row_ptr(i), b.row_ptr(kk), b.row_ptr(kk + 1),
-              b.row_ptr(kk + 2), b.row_ptr(kk + 3), a0[i], a1[i], a2[i],
-              a3[i], n);
-  }
-  for (; kk < k; ++kk) {
-    const double* ak = a.row_ptr(kk);
-    for (std::size_t i = r0; i < r1; ++i)
-      K.axpy1(c.row_ptr(i), b.row_ptr(kk), ak[i], n);
-  }
-}
-
-void gemm_a_bt_rows(const Kernels& K, const Matrix& a, const Matrix& b,
-                    Matrix& c, std::size_t r0, std::size_t r1) {
-  const std::size_t k = a.cols(), n = b.rows();
-  for (std::size_t i = r0; i < r1; ++i) {
-    const double* ai = a.row_ptr(i);
-    double* ci = c.row_ptr(i);
-    for (std::size_t j = 0; j < n; ++j) ci[j] = K.dot(ai, b.row_ptr(j), k);
-  }
+  util::parallel_for(blocks, run);
 }
 
 }  // namespace
@@ -109,14 +49,13 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
   const Kernels& K = detail::active_kernels();
   if (m == 1) {
     // Single-row fast path; the gemv kernel contract guarantees the same
-    // bits the tiled row loop would produce on this tier.
+    // bits the row-block kernel would produce on this tier.
     K.gemv(c.row_ptr(0), a.row_ptr(0), b.row_ptr(0), k, n, b.cols());
     return;
   }
-  const std::size_t macs = m * k * n;
-  for_row_blocks(m, macs, [&](std::size_t blk) {
-    const std::size_t r0 = blk * kRowBlock;
-    gemm_rows(K, a, b, c, r0, std::min(m, r0 + kRowBlock));
+  for_row_blocks(m, m * k * n, [&](std::size_t r0, std::size_t rows) {
+    K.gemm_acc(c.row_ptr(r0), n, a.row_ptr(r0), k, 1, b.data(), n, rows, k,
+               n);
   });
 }
 
@@ -131,10 +70,10 @@ void gemm_at_b_impl(const Matrix& a, const Matrix& b, Matrix& c) {
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
   if (m == 0 || n == 0 || k == 0) return;  // accumulate nothing
   const Kernels& K = detail::active_kernels();
-  const std::size_t macs = m * k * n;
-  for_row_blocks(m, macs, [&](std::size_t blk) {
-    const std::size_t r0 = blk * kRowBlock;
-    gemm_at_b_rows(K, a, b, c, r0, std::min(m, r0 + kRowBlock));
+  // Row i of C reads column i of A: A(i, kk) sits at a[kk * m + i].
+  for_row_blocks(m, m * k * n, [&](std::size_t r0, std::size_t rows) {
+    K.gemm_acc(c.row_ptr(r0), n, a.data() + r0, 1, m, b.data(), n, rows, k,
+               n);
   });
 }
 
@@ -163,9 +102,8 @@ void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& c) {
   if (m == 0 || n == 0) return;
   const Kernels& K = detail::active_kernels();
   // C(i, j) = dot(A row i, B row j): both operands stream contiguously.
-  for_row_blocks(m, m * k * n, [&](std::size_t blk) {
-    const std::size_t r0 = blk * kRowBlock;
-    gemm_a_bt_rows(K, a, b, c, r0, std::min(m, r0 + kRowBlock));
+  for_row_blocks(m, m * k * n, [&](std::size_t r0, std::size_t rows) {
+    K.gemm_bt(c.row_ptr(r0), n, a.row_ptr(r0), k, b.data(), k, rows, k, n);
   });
 }
 

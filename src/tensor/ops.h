@@ -2,13 +2,17 @@
 // everything a fully-connected layer's forward and backward passes need
 // without ever materialising a transpose.
 //
-// Every GEMM runs cache-tiled microkernels chosen at startup by
-// tensor::dispatch (scalar or AVX2+FMA — see dispatch.h); above a flop
-// threshold the outer row loop fans out over the global thread pool
-// (util::parallel_for). Results are bit-identical regardless of the worker
-// count: each output row is produced entirely by one task, and the per-row
-// reduction order over k is fixed by the (constant) tile and unroll
-// geometry and the active tier, never by the thread that runs it.
+// Every GEMM cuts C into fixed 32-row blocks and hands each block to a
+// microkernel chosen at startup by tensor::dispatch (scalar or AVX2+FMA —
+// see dispatch.h): gemm and gemm_at_b[_acc] to the tier's gemm_acc
+// (register tiles over packed 8-column panels of B on AVX2), gemm_a_bt to
+// its gemm_bt (several A rows per B-row load). Above a flop threshold the
+// blocks fan out over the global thread pool (util::parallel_for).
+// Results are bit-identical regardless of the worker count and of how
+// many rows share a call: each output element's reduction over k is fixed
+// by the active tier alone — the row-at-a-time axpy groups for the
+// A·B forms, the tier's dot for A·Bᵀ — never by tiling, block height or
+// the thread that runs it.
 #pragma once
 
 #include "tensor/matrix.h"
@@ -19,7 +23,7 @@ namespace diagnet::tensor {
 void gemm(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C = a (1 x K) · B (K x N): the single-sample fast path. Serial, no
-/// tiling or pool dispatch, but the exact fused-group reduction order of
+/// packing or pool dispatch, but the exact fused-group reduction order of
 /// gemm() — a row's bits never depend on which entry point computed it.
 void gemv(const Matrix& a, const Matrix& b, Matrix& c);
 

@@ -141,7 +141,9 @@ TEST(ClientAgent, HealthyVisitsCarryNoDiagnosis) {
   for (int v = 0; v < 20; ++v) {
     const VisitOutcome outcome = agent.visit(0, 1.0 + v * 0.1, {});
     degraded += outcome.degraded ? 1 : 0;
-    if (!outcome.degraded) EXPECT_FALSE(outcome.diagnosis.has_value());
+    if (!outcome.degraded) {
+      EXPECT_FALSE(outcome.diagnosis.has_value());
+    }
   }
   EXPECT_LT(degraded, 5u);
 }

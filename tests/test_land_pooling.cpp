@@ -198,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PoolOp::Min, PoolOp::Max, PoolOp::Avg, PoolOp::Var,
                       PoolOp::P10, PoolOp::P30, PoolOp::P50, PoolOp::P70,
                       PoolOp::P90),
-    [](const auto& info) { return pool_op_name(info.param); });
+    [](const auto& param_info) { return pool_op_name(param_info.param); });
 
 TEST(LandPooling, MaskedLandmarkGetsZeroInputGradient) {
   LandPooling pool = make_pool(default_pool_ops());

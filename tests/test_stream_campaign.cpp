@@ -348,7 +348,9 @@ TEST(EventEngine, CanonicalOrderIsShardInvariant) {
   for (std::size_t i = 0; i < one.size(); ++i) {
     EXPECT_GE(one[i].time_hours, 0.0);
     EXPECT_LT(one[i].time_hours, config.duration_hours);
-    if (i > 0) EXPECT_GE(one[i].time_hours, one[i - 1].time_hours);
+    if (i > 0) {
+      EXPECT_GE(one[i].time_hours, one[i - 1].time_hours);
+    }
   }
 }
 

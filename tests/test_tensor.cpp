@@ -127,8 +127,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{64, 50, 24}, GemmShape{3, 128, 7}));
 
 // Edge shapes: degenerate rows/columns, empty operands, row/column vectors,
-// remainders around the 32-row / 64-k tile sizes, and one shape big enough
-// to cross the parallel-dispatch threshold. All paths must agree with the
+// remainders around the 32-row blocks and the 8-column register tiles, and
+// one shape big enough to cross the parallel-dispatch threshold. All paths must agree with the
 // naive reference.
 INSTANTIATE_TEST_SUITE_P(
     EdgeShapes, GemmSweep,
