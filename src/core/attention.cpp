@@ -62,71 +62,24 @@ void gamma_from_grads(AttentionResult& result, const nn::Matrix& grad_land,
   normalize_gamma(result.gamma, batch, r, fs, sum);
 }
 
+/// dst = the rows of src listed in `rows`, in order.
+void gather_rows(const nn::Matrix& src, const std::vector<std::size_t>& rows,
+                 nn::Matrix& dst) {
+  dst.resize(rows.size(), src.cols());
+  for (std::size_t s = 0; s < rows.size(); ++s)
+    std::copy(src.row_ptr(rows[s]), src.row_ptr(rows[s]) + src.cols(),
+              dst.row_ptr(s));
+}
+
+/// Row s of src goes to row rows[s] of dst (the inverse of gather_rows).
+void scatter_rows(const nn::Matrix& src, const std::vector<std::size_t>& rows,
+                  nn::Matrix& dst) {
+  for (std::size_t s = 0; s < rows.size(); ++s)
+    std::copy(src.row_ptr(s), src.row_ptr(s) + src.cols(),
+              dst.row_ptr(rows[s]));
+}
+
 }  // namespace
-
-AttentionResult compute_attention(nn::CoarseNet& net,
-                                  const nn::LandBatch& sample,
-                                  const data::FeatureSpace& fs) {
-  DIAGNET_REQUIRE_MSG(sample.size() == 1, "attention works on one sample");
-
-  AttentionResult result;
-  const nn::Matrix logits = net.forward(sample);
-  const nn::Matrix probs = nn::softmax(logits);
-  result.coarse_probs = probs.row_copy(0);
-  result.coarse_argmax = static_cast<std::size_t>(
-      std::max_element(result.coarse_probs.begin(),
-                       result.coarse_probs.end()) -
-      result.coarse_probs.begin());
-
-  // One backpropagation step of the ideal-label loss, down to the inputs.
-  // The input-only backward skips every parameter-gradient GEMM and the
-  // pooling kernel gradients — attention never consumes them — and
-  // accumulates nothing on the net, so there is nothing to zero. The
-  // input gradients are bit-identical to the full backward's.
-  const nn::Matrix grad_logits =
-      nn::ideal_label_grad(logits, result.coarse_argmax);
-  nn::Matrix grad_land;
-  nn::Matrix grad_local;
-  net.backward_inputs(grad_logits, &grad_land, &grad_local);
-
-  // Map (land, local) gradients back to the m-dimensional feature space.
-  gamma_from_grads(result, grad_land, grad_local, 0, sample, fs);
-  return result;
-}
-
-std::vector<AttentionResult> compute_attention_batch(
-    nn::CoarseNet& net, const nn::LandBatch& batch,
-    const data::FeatureSpace& fs) {
-  const std::size_t n = batch.size();
-  std::vector<AttentionResult> results(n);
-  if (n == 0) return results;
-
-  // One batched forward pass; softmax/argmax are strictly row-wise, so each
-  // row matches the single-sample path bit for bit.
-  const nn::Matrix logits = net.forward(batch);
-  const nn::Matrix probs = nn::softmax(logits);
-  std::vector<std::size_t> argmaxes(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    results[r].coarse_probs = probs.row_copy(r);
-    results[r].coarse_argmax = static_cast<std::size_t>(
-        std::max_element(results[r].coarse_probs.begin(),
-                         results[r].coarse_probs.end()) -
-        results[r].coarse_probs.begin());
-    argmaxes[r] = results[r].coarse_argmax;
-  }
-
-  // One batched input-gradient backward pass of the ideal-label loss. The
-  // input-only path accumulates no parameter gradients (nothing to zero)
-  // and every per-row gradient is bit-identical to the single-sample pass.
-  const nn::Matrix grad_logits = nn::ideal_label_grads(logits, argmaxes);
-  nn::Matrix grad_land;
-  nn::Matrix grad_local;
-  net.backward_inputs(grad_logits, &grad_land, &grad_local);
-
-  for (std::size_t r = 0; r < n; ++r)
-    gamma_from_grads(results[r], grad_land, grad_local, r, batch, fs);
-  return results;
-}
 
 std::vector<AttentionResult> compute_attention_shared_pooling(
     const std::vector<PooledGroup>& groups, const nn::LandBatch& batch,
@@ -136,37 +89,26 @@ std::vector<AttentionResult> compute_attention_shared_pooling(
   if (n == 0 || groups.empty()) return results;
 
   // One pooling forward over the union batch, through the first head's
-  // (shared) LandPooling. The ctx path is const and caches nothing on the
-  // layer.
-  const nn::CoarseNet& pool_net = *groups.front().net;
+  // (shared) LandPooling.
+  const nn::LandPooling& pooling = groups.front().net->pooling();
   nn::LandPooling::PoolContext ctx;
   nn::Matrix pooled;
-  pool_net.pooling().forward(batch.land, batch.mask, ctx, pooled);
+  pooling.forward(batch.land, batch.mask, ctx, pooled);
 
-  nn::Matrix union_grad_pooled(n, pooled.cols());
-  nn::Matrix union_grad_local(n, batch.local.cols());
-
+  nn::CoarseWorkspace ws;  // FC activations; reused across heads
+  nn::Matrix sub_pooled, sub_local;
+  nn::Matrix grad_pooled(n, pooled.cols()), grad_local(n, batch.local.cols());
   for (const PooledGroup& grp : groups) {
-    nn::CoarseNet& net = *grp.net;
-    DIAGNET_REQUIRE_MSG(net.shares_pooling_with(pool_net),
+    const nn::CoarseNet& net = *grp.net;
+    DIAGNET_REQUIRE_MSG(net.shares_pooling_with(*groups.front().net),
                         "shared-pooling group with divergent pooling");
     const std::size_t m = grp.rows.size();
     if (m == 0) continue;
+    for (const std::size_t r : grp.rows) DIAGNET_REQUIRE(r < n);
 
-    // Gather this head's pooled/local rows out of the union.
-    nn::Matrix sub_pooled(m, pooled.cols());
-    nn::Matrix sub_local(m, batch.local.cols());
-    for (std::size_t s = 0; s < m; ++s) {
-      const std::size_t r = grp.rows[s];
-      DIAGNET_REQUIRE(r < n);
-      std::copy(pooled.row_ptr(r), pooled.row_ptr(r) + pooled.cols(),
-                sub_pooled.row_ptr(s));
-      std::copy(batch.local.row_ptr(r),
-                batch.local.row_ptr(r) + batch.local.cols(),
-                sub_local.row_ptr(s));
-    }
-
-    const nn::Matrix logits = net.forward_from_pooled(sub_pooled, sub_local);
+    gather_rows(pooled, grp.rows, sub_pooled);
+    gather_rows(batch.local, grp.rows, sub_local);
+    const nn::Matrix& logits = net.forward_fc(sub_pooled, sub_local, ws);
     const nn::Matrix probs = nn::softmax(logits);
     std::vector<std::size_t> argmaxes(m);
     for (std::size_t s = 0; s < m; ++s) {
@@ -178,41 +120,29 @@ std::vector<AttentionResult> compute_attention_shared_pooling(
       argmaxes[s] = res.coarse_argmax;
     }
 
-    // FC-only input backward, then scatter this head's gradients back into
-    // the union-row positions.
-    const nn::Matrix grad_logits = nn::ideal_label_grads(logits, argmaxes);
-    nn::Matrix sub_grad_local;
-    const nn::Matrix sub_grad_pooled =
-        net.backward_inputs_from_pooled(grad_logits, &sub_grad_local);
-    for (std::size_t s = 0; s < m; ++s) {
-      const std::size_t r = grp.rows[s];
-      std::copy(sub_grad_pooled.row_ptr(s),
-                sub_grad_pooled.row_ptr(s) + sub_grad_pooled.cols(),
-                union_grad_pooled.row_ptr(r));
-      std::copy(sub_grad_local.row_ptr(s),
-                sub_grad_local.row_ptr(s) + sub_grad_local.cols(),
-                union_grad_local.row_ptr(r));
-    }
+    // One input-only backward of the ideal-label loss through this head's
+    // FC stack; its gradients land in the union-row positions.
+    net.backward_inputs(nn::ideal_label_grads(logits, argmaxes), ws);
+    scatter_rows(ws.grad_pooled, grp.rows, grad_pooled);
+    scatter_rows(ws.grad_local, grp.rows, grad_local);
   }
 
   // One pooling backward over the union.
-  const nn::Matrix grad_land =
-      pool_net.pooling().backward_input_with(ctx, union_grad_pooled);
+  nn::Matrix grad_land;
+  pooling.backward_input(grad_pooled, ctx, grad_land);
   for (std::size_t r = 0; r < n; ++r)
-    gamma_from_grads(results[r], grad_land, union_grad_local, r, batch, fs);
+    gamma_from_grads(results[r], grad_land, grad_local, r, batch, fs);
   return results;
 }
 
-AttentionResult compute_occlusion_attention(nn::CoarseNet& net,
+AttentionResult compute_occlusion_attention(const nn::CoarseNet& net,
                                             const nn::LandBatch& sample,
                                             const data::FeatureSpace& fs) {
   DIAGNET_REQUIRE_MSG(sample.size() == 1, "attention works on one sample");
 
   AttentionResult result;
-  {
-    const nn::Matrix probs = nn::softmax(net.forward(sample));
-    result.coarse_probs = probs.row_copy(0);
-  }
+  nn::CoarseWorkspace ws;
+  result.coarse_probs = nn::softmax(net.forward(sample, ws)).row_copy(0);
   result.coarse_argmax = static_cast<std::size_t>(
       std::max_element(result.coarse_probs.begin(),
                        result.coarse_probs.end()) -
@@ -226,7 +156,7 @@ AttentionResult compute_occlusion_attention(nn::CoarseNet& net,
   double sum = 0.0;
   nn::LandBatch probe = sample;
   const auto drop_for = [&]() {
-    const nn::Matrix probs = nn::softmax(net.forward(probe));
+    const nn::Matrix probs = nn::softmax(net.forward(probe, ws));
     return std::max(0.0, base - probs(0, result.coarse_argmax));
   };
   for (std::size_t lam = 0; lam < fs.landmark_count(); ++lam) {

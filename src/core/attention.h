@@ -22,39 +22,24 @@ struct AttentionResult {
   std::vector<double> gamma;
 };
 
-/// Runs one forward + one input-gradient backward pass on a single sample.
-/// The backward is input-only (CoarseNet::backward_inputs): it computes no
-/// parameter gradient and accumulates nothing on the net, so attention
-/// never perturbs training state.
-AttentionResult compute_attention(nn::CoarseNet& net,
-                                  const nn::LandBatch& sample,
-                                  const data::FeatureSpace& fs);
-
-/// Gradient attention for a whole batch in one forward + one input-only
-/// backward pass (no parameter gradients are touched). Result r is
-/// bit-identical to compute_attention() on row r alone: every per-row
-/// computation (GEMM accumulation order, pooling, softmax) is independent
-/// of the other rows.
-std::vector<AttentionResult> compute_attention_batch(
-    nn::CoarseNet& net, const nn::LandBatch& batch,
-    const data::FeatureSpace& fs);
-
-/// One specialized head's slice of a shared-pooling union batch: which
-/// union-batch rows this net scores.
+/// One network's slice of a union batch: which union-batch rows this net
+/// scores.
 struct PooledGroup {
-  nn::CoarseNet* net = nullptr;
+  const nn::CoarseNet* net = nullptr;
   std::vector<std::size_t> rows;
 };
 
-/// Gradient attention for a union batch scored by several specialized heads
-/// that share one frozen LandPooling (groups[i].net must satisfy
+/// Gradient attention — the only implementation: one forward and one
+/// input-only backward pass (no parameter gradient is computed, nothing is
+/// written to the nets). The batch is a union scored by one or more
+/// networks that share one frozen LandPooling (groups[i].net must satisfy
 /// shares_pooling_with(groups[0].net); the caller checks before grouping).
-/// The pooling forward and backward each run ONCE over the whole union —
-/// the FC stacks fan out per head — which is the perf point of frozen-kernel
-/// specialization. Result r is bit-identical to compute_attention_batch()
-/// with row r's own net: pooling, softmax and every kernel row-group are
-/// per-row independent and batch-size invariant. groups must partition
-/// [0, batch.size()).
+/// The pooling forward and backward each run ONCE over the whole union and
+/// the FC stacks fan out per head — the perf point of frozen-kernel
+/// specialization; a single-network batch is a union of one group. Result
+/// r is bit-identical to running row r alone through its own net: pooling,
+/// softmax and every kernel row-group are per-row independent and
+/// batch-size invariant. groups must partition [0, batch.size()).
 std::vector<AttentionResult> compute_attention_shared_pooling(
     const std::vector<PooledGroup>& groups, const nn::LandBatch& batch,
     const data::FeatureSpace& fs);
@@ -65,8 +50,8 @@ std::vector<AttentionResult> compute_attention_shared_pooling(
 /// the training mean of its metric kind — and read the feature's usefulness
 /// as the drop in the winning class probability. Costs m forward passes
 /// instead of one backward pass; compared against the gradient method in
-/// bench/ablation_attention.
-AttentionResult compute_occlusion_attention(nn::CoarseNet& net,
+/// bench/ablation_attention. `sample` must hold exactly one row.
+AttentionResult compute_occlusion_attention(const nn::CoarseNet& net,
                                             const nn::LandBatch& sample,
                                             const data::FeatureSpace& fs);
 

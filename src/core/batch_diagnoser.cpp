@@ -1,7 +1,7 @@
 #include "core/batch_diagnoser.h"
 
 #include <algorithm>
-#include <memory>
+#include <cmath>
 
 #include "core/attention.h"
 #include "data/encoding.h"
@@ -12,36 +12,46 @@ namespace diagnet::core {
 
 namespace {
 
-/// One serving network's contiguous slice of a chunk: rows
-/// [begin, end) of the chunk's batch belong to `net`.
-struct SubGroup {
-  nn::CoarseNet* net = nullptr;
-  std::size_t begin = 0, end = 0;
-};
-
 /// A run of request indices encoded and pooled together; at most batch_size
-/// long. A single-part chunk is the classic case (one network). A
-/// multi-part chunk is a shared-pooling union: several specialized heads
-/// with bit-identical frozen LandPooling parameters score disjoint row
-/// ranges of one encoded batch, and the pooling stage runs once for all of
-/// them. The mask pointer refers either to a request's own
+/// long. Each part is one serving network's slice of the chunk's rows; a
+/// multi-part chunk is a shared-pooling union of specialized heads with
+/// bit-identical frozen LandPooling parameters, whose pooling stage runs
+/// once for all of them. The mask pointer refers either to a request's own
 /// landmark_available vector or to the shared all-true fallback.
 struct Chunk {
   const std::vector<bool>* mask = nullptr;
   std::vector<std::size_t> indices;  // into the request vector
-  std::vector<SubGroup> parts;       // cover [0, indices.size()), in order
+  std::vector<PooledGroup> parts;    // partition [0, indices.size()), in order
 };
 
 /// All requests that share one landmark mask, split per serving network in
 /// first-appearance order.
 struct NetRun {
-  nn::CoarseNet* net = nullptr;
+  const nn::CoarseNet* net = nullptr;
   std::vector<std::size_t> indices;
 };
 struct MaskGroup {
   const std::vector<bool>* mask = nullptr;
   std::vector<NetRun> runs;
 };
+
+/// The chunk rows [begin, begin + count) as a PooledGroup of `net`.
+PooledGroup row_range(const nn::CoarseNet* net, std::size_t begin,
+                      std::size_t count) {
+  PooledGroup group{net, std::vector<std::size_t>(count)};
+  for (std::size_t s = 0; s < count; ++s) group.rows[s] = begin + s;
+  return group;
+}
+
+/// False when a row's coarse probabilities or attention are NaN/inf —
+/// finite features that overflow the network get there — so the row is
+/// refused instead of scored (Algorithm 1 requires a proper distribution).
+bool finite_attention(const AttentionResult& attention) {
+  const auto finite = [](double v) { return std::isfinite(v); };
+  return std::all_of(attention.coarse_probs.begin(),
+                     attention.coarse_probs.end(), finite) &&
+         std::all_of(attention.gamma.begin(), attention.gamma.end(), finite);
+}
 
 }  // namespace
 
@@ -54,7 +64,6 @@ BatchDiagnoser::BatchDiagnoser(DiagNetModel& model,
 std::vector<DiagnoseResponse> BatchDiagnoser::run(
     const std::vector<DiagnoseRequest>& requests) const {
   DIAGNET_SPAN("diagnose.batch");
-  DIAGNET_REQUIRE_MSG(model_->trained(), "train_general() first");
   DIAGNET_COUNT_N("diagnose.batch.samples", requests.size());
 
   std::vector<DiagnoseResponse> results(requests.size());
@@ -75,9 +84,9 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
     const DiagnoseRequest& request = requests[i];
     results[i].status = model_->validate(request);
     if (!results[i].status.ok()) continue;
-    nn::CoarseNet* net = config_.use_general || request.use_general
-                             ? &model_->general_net()
-                             : &model_->service_net(request.service);
+    const nn::CoarseNet* net = config_.use_general || request.use_general
+                                   ? &model_->general_net()
+                                   : &model_->service_net(request.service);
     const std::vector<bool>* mask = request.landmark_available.empty()
                                         ? &all_landmarks
                                         : &request.landmark_available;
@@ -121,7 +130,7 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
           c.mask = g.mask;
           c.indices.assign(run.indices.begin() + static_cast<std::ptrdiff_t>(b),
                            run.indices.begin() + static_cast<std::ptrdiff_t>(e));
-          c.parts = {{run.net, 0, c.indices.size()}};
+          c.parts = {row_range(run.net, 0, c.indices.size())};
           chunks.push_back(std::move(c));
         }
       }
@@ -146,7 +155,7 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
             c.indices.end(),
             run.indices.begin() + static_cast<std::ptrdiff_t>(pos),
             run.indices.begin() + static_cast<std::ptrdiff_t>(pos + take));
-        c.parts.push_back({run.net, begin, begin + take});
+        c.parts.push_back(row_range(run.net, begin, take));
         pos += take;
         if (c.indices.size() == config_.batch_size) flush();
       }
@@ -158,28 +167,11 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
 
   util::ThreadPool& pool =
       config_.pool ? *config_.pool : util::ThreadPool::global();
-  // Layer forward passes cache activations inside the layer objects, so
-  // concurrent chunks must not share a network. With a serial pool the
-  // chunks run one after another on the caller thread and the model's own
-  // networks can be used directly (no clone cost).
-  const bool concurrent = pool.size() > 1 && chunks.size() > 1;
-
+  // The networks are const and every chunk keeps its activations in its own
+  // workspace, so chunks run concurrently against the shared model.
   pool.parallel_for(chunks.size(), [&](std::size_t ci) {
     const Chunk& chunk = chunks[ci];
     const std::vector<bool>& mask = *chunk.mask;
-    // Layer forward caches are not thread-safe, so concurrent chunks work
-    // on private clones — one per distinct network in the chunk (a network
-    // appears in at most one part).
-    std::vector<std::unique_ptr<nn::CoarseNet>> private_nets;
-    std::vector<nn::CoarseNet*> part_nets(chunk.parts.size());
-    for (std::size_t p = 0; p < chunk.parts.size(); ++p) {
-      nn::CoarseNet* net = chunk.parts[p].net;
-      if (concurrent) {
-        private_nets.push_back(net->clone());
-        net = private_nets.back().get();
-      }
-      part_nets[p] = net;
-    }
 
     nn::LandBatch batch;
     {
@@ -193,33 +185,19 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
     std::vector<AttentionResult> attention;
     {
       DIAGNET_SPAN("diagnose.batch.attention");
-      if (gradient && chunk.parts.size() == 1) {
-        attention = compute_attention_batch(*part_nets[0], batch, fs);
-      } else if (gradient) {
-        // Shared-pooling union: pool the whole chunk once, fan the FC
-        // stacks out per head.
-        std::vector<PooledGroup> pooled_groups(chunk.parts.size());
-        for (std::size_t p = 0; p < chunk.parts.size(); ++p) {
-          pooled_groups[p].net = part_nets[p];
-          pooled_groups[p].rows.resize(chunk.parts[p].end -
-                                       chunk.parts[p].begin);
-          for (std::size_t s = 0; s < pooled_groups[p].rows.size(); ++s)
-            pooled_groups[p].rows[s] = chunk.parts[p].begin + s;
-        }
-        attention = compute_attention_shared_pooling(pooled_groups, batch, fs);
+      if (gradient) {
+        attention = compute_attention_shared_pooling(chunk.parts, batch, fs);
       } else {
         // Occlusion probes one feature at a time (m forward passes per
         // sample); there is nothing to batch, so run it row by row with the
         // row's own network.
         attention.reserve(chunk.indices.size());
-        for (std::size_t p = 0; p < chunk.parts.size(); ++p) {
-          for (std::size_t r = chunk.parts[p].begin; r < chunk.parts[p].end;
-               ++r) {
+        for (const PooledGroup& part : chunk.parts) {
+          for (const std::size_t r : part.rows) {
             const nn::LandBatch row = data::encode_sample(
                 requests[chunk.indices[r]].features, fs, model_->normalizer(),
                 mask);
-            attention.push_back(
-                compute_occlusion_attention(*part_nets[p], row, fs));
+            attention.push_back(compute_occlusion_attention(*part.net, row, fs));
           }
         }
       }
@@ -229,6 +207,12 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
       DIAGNET_SPAN("diagnose.batch.score");
       for (std::size_t r = 0; r < chunk.indices.size(); ++r) {
         const std::size_t i = chunk.indices[r];
+        if (!finite_attention(attention[r])) {
+          results[i].status = util::Status::invalid_argument(
+              "features overflow the network: non-finite coarse "
+              "probabilities or attention");
+          continue;
+        }
         results[i].diagnosis = model_->complete_diagnosis(
             attention[r], requests[i].features, mask);
       }

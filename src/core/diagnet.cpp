@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
+#include "core/batch_diagnoser.h"
 #include "core/ensemble.h"
 #include "core/score_weighting.h"
 #include "nn/softmax.h"
@@ -174,49 +176,28 @@ util::Status DiagNetModel::validate(const DiagnoseRequest& request) const {
         std::to_string(request.landmark_available.size()) +
         " entries; this deployment has " +
         std::to_string(fs_->landmark_count()) + " landmarks");
+  if (!request.landmark_available.empty() &&
+      std::none_of(request.landmark_available.begin(),
+                   request.landmark_available.end(),
+                   [](bool available) { return available; }))
+    return util::Status::invalid_argument(
+        "landmark mask has no available landmark");
+  for (std::size_t j = 0; j < request.features.size(); ++j)
+    if (!std::isfinite(request.features[j]))
+      return util::Status::invalid_argument(
+          "feature " + std::to_string(j) + " is not a finite number");
   return {};
 }
 
 DiagnoseResponse DiagNetModel::diagnose(const DiagnoseRequest& request) {
-  DiagnoseResponse response;
-  response.status = validate(request);
-  if (!response.status.ok()) return response;
-  std::vector<bool> all_landmarks;
-  const std::vector<bool>* mask = &request.landmark_available;
-  if (request.landmark_available.empty()) {
-    all_landmarks.assign(fs_->landmark_count(), true);
-    mask = &all_landmarks;
-  }
-  nn::CoarseNet& net =
-      request.use_general ? *general_ : service_net(request.service);
   [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
-  response.diagnosis = diagnose_with(net, request.features, *mask);
+  DiagnoseResponse response = BatchDiagnoser(*this).run({request})[0];
   [[maybe_unused]] const double latency_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
   DIAGNET_OBSERVE("diagnose.latency_ms", latency_ms);
   return response;
-}
-
-Diagnosis DiagNetModel::diagnose_with(
-    nn::CoarseNet& net, const std::vector<double>& raw_features,
-    const std::vector<bool>& landmark_available) {
-  DIAGNET_SPAN("diagnet.diagnose");
-  DIAGNET_COUNT("diagnet.diagnose.calls");
-  // Steps 1-5 of Fig. 2 on the (possibly larger-than-training) fleet.
-  const nn::LandBatch batch = data::encode_sample(
-      raw_features, *fs_, normalizer_, landmark_available);
-  const AttentionResult attention = [&] {
-    // The gradient method is one forward + one input-gradient backward pass
-    // (§III-E) — the latency the paper's 45 ms figure is dominated by.
-    DIAGNET_SPAN("diagnet.attention");
-    return config_.attention == AttentionMethod::Gradient
-               ? compute_attention(net, batch, *fs_)
-               : compute_occlusion_attention(net, batch, *fs_);
-  }();
-
-  return complete_diagnosis(attention, raw_features, landmark_available);
 }
 
 Diagnosis DiagNetModel::complete_diagnosis(
@@ -268,8 +249,8 @@ std::vector<double> DiagNetModel::coarse_predict(
   DIAGNET_REQUIRE_MSG(trained(), "train_general() first");
   const nn::LandBatch batch = data::encode_sample(
       raw_features, *fs_, normalizer_, landmark_available);
-  const nn::Matrix logits = service_net(service).forward(batch);
-  return nn::softmax(logits).row_copy(0);
+  nn::CoarseWorkspace ws;
+  return nn::softmax(service_net(service).forward(batch, ws)).row_copy(0);
 }
 
 }  // namespace diagnet::core

@@ -126,7 +126,8 @@ class DiagNetModel {
   /// Diagnose one request (the stable API): validates the request shape
   /// and model state into the response Status instead of throwing, routes
   /// through the service's specialised model (or the general one when
-  /// request.use_general), and returns the ranked diagnosis.
+  /// request.use_general), and returns the ranked diagnosis. A batch of
+  /// one through the batched engine: BatchDiagnoser(*this).run({request}).
   DiagnoseResponse diagnose(const DiagnoseRequest& request);
 
   /// Coarse fault-family probabilities only (Fig. 7 evaluates these).
@@ -134,18 +135,19 @@ class DiagNetModel {
                                      std::size_t service,
                                      const std::vector<bool>& landmark_available);
 
-  /// Shared tail of diagnose(): Algorithm 1 score weighting, ensemble
-  /// blending with the auxiliary forest, and ranking, starting from an
-  /// already-computed attention result. Both the single-sample path and the
-  /// batched engine (core/batch_diagnoser.h) finish through this method, so
-  /// their outputs agree bit for bit by construction.
+  /// Tail of diagnosis: Algorithm 1 score weighting, ensemble blending
+  /// with the auxiliary forest, and ranking, starting from an
+  /// already-computed attention result (the batched engine,
+  /// core/batch_diagnoser.h, finishes every row through this method).
   Diagnosis complete_diagnosis(const AttentionResult& attention,
                                const std::vector<double>& raw_features,
                                const std::vector<bool>& landmark_available) const;
 
-  /// Request validation shared by the single-sample path, the batched
-  /// engine and the server's admission control: OK, or the Status the
-  /// response should carry (failed_precondition / invalid_argument).
+  /// Request validation, run by the batched engine on every request: OK,
+  /// or the Status the response should carry —
+  /// failed_precondition (untrained model) or invalid_argument (wrong
+  /// feature count or mask length, a mask with no available landmark,
+  /// non-finite features).
   util::Status validate(const DiagnoseRequest& request) const;
 
   /// Int8 inference for every FC stack — general and specialized (see
@@ -196,10 +198,6 @@ class DiagNetModel {
   }
 
  private:
-  Diagnosis diagnose_with(nn::CoarseNet& net,
-                          const std::vector<double>& raw_features,
-                          const std::vector<bool>& landmark_available);
-
   const data::FeatureSpace* fs_;
   DiagNetConfig config_;
   data::Normalizer normalizer_;

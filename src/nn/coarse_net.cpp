@@ -39,33 +39,9 @@ CoarseNet::CoarseNet(const CoarseNetConfig& config, util::Rng& rng)
   std::size_t in = pool_.out_features() + config.local_features;
   for (std::size_t h : config.hidden) {
     fc_.emplace_back(in, h, rng);
-    relu_.emplace_back();
     in = h;
   }
   fc_.emplace_back(in, config.classes, rng);
-}
-
-Matrix CoarseNet::forward(const LandBatch& batch) {
-  DIAGNET_REQUIRE(batch.local.cols() == config_.local_features);
-  DIAGNET_REQUIRE(batch.local.rows() == batch.land.rows());
-
-  const Matrix pooled = pool_.forward(batch.land, batch.mask);
-
-  // Concatenate pooled landmark representation with local features.
-  Matrix x(batch.size(), pooled.cols() + batch.local.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    double* row = x.row_ptr(r);
-    std::copy(pooled.row_ptr(r), pooled.row_ptr(r) + pooled.cols(), row);
-    std::copy(batch.local.row_ptr(r),
-              batch.local.row_ptr(r) + batch.local.cols(),
-              row + local_offset_);
-  }
-
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
-    x = fc_[i].forward(x);
-    x = relu_[i].forward(x);
-  }
-  return fc_.back().forward(x);
 }
 
 void CoarseNet::init_workspace(CoarseWorkspace& ws) const {
@@ -74,29 +50,33 @@ void CoarseNet::init_workspace(CoarseWorkspace& ws) const {
   for (std::size_t i = 0; i < params.size(); ++i)
     ws.param_grads[i].resize_zero(params[i]->value.rows(),
                                   params[i]->value.cols());
-  ws.act.resize(relu_.size());
 }
 
 const Matrix& CoarseNet::forward(const LandBatch& batch,
                                  CoarseWorkspace& ws) const {
-  DIAGNET_REQUIRE(batch.local.cols() == config_.local_features);
   DIAGNET_REQUIRE(batch.local.rows() == batch.land.rows());
-  ws.act.resize(relu_.size());  // no-op once sized
-
   pool_.forward(batch.land, batch.mask, ws.pool, ws.pooled);
+  return forward_fc(ws.pooled, batch.local, ws);
+}
 
-  ws.concat.resize(batch.size(), local_offset_ + config_.local_features);
+const Matrix& CoarseNet::forward_fc(const Matrix& pooled, const Matrix& local,
+                                    CoarseWorkspace& ws) const {
+  DIAGNET_REQUIRE(pooled.cols() == local_offset_ &&
+                  local.cols() == config_.local_features &&
+                  pooled.rows() == local.rows());
+  const std::size_t hidden = fc_.size() - 1;
+  ws.act.resize(hidden);  // no-op once sized
+
+  ws.concat.resize(pooled.rows(), local_offset_ + config_.local_features);
   for (std::size_t r = 0; r < ws.concat.rows(); ++r) {
     double* row = ws.concat.row_ptr(r);
-    std::copy(ws.pooled.row_ptr(r), ws.pooled.row_ptr(r) + ws.pooled.cols(),
-              row);
-    std::copy(batch.local.row_ptr(r),
-              batch.local.row_ptr(r) + batch.local.cols(),
+    std::copy(pooled.row_ptr(r), pooled.row_ptr(r) + pooled.cols(), row);
+    std::copy(local.row_ptr(r), local.row_ptr(r) + local.cols(),
               row + local_offset_);
   }
 
   const Matrix* x = &ws.concat;
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
+  for (std::size_t i = 0; i < hidden; ++i) {
     fc_[i].forward_into(*x, ws.act[i]);
     relu_inplace(ws.act[i]);
     x = &ws.act[i];
@@ -114,11 +94,11 @@ void CoarseNet::backward(const Matrix& grad_logits,
   };
 
   const std::size_t last = fc_.size() - 1;
-  const Matrix& last_in = relu_.empty() ? ws.concat : ws.act.back();
+  const Matrix& last_in = last == 0 ? ws.concat : ws.act.back();
   auto [lw, lb] = fc_grad(last);
   fc_[last].backward_into(last_in, grad_logits, lw, lb, &ws.grad_a);
 
-  for (std::size_t i = relu_.size(); i-- > 0;) {
+  for (std::size_t i = last; i-- > 0;) {
     relu_gate_inplace(ws.act[i], ws.grad_a);
     const Matrix& in = i == 0 ? ws.concat : ws.act[i - 1];
     auto [w, b] = fc_grad(i);
@@ -137,100 +117,27 @@ void CoarseNet::backward(const Matrix& grad_logits,
                         ws.param_grads[1]);
 }
 
-void CoarseNet::backward(const Matrix& grad_logits, Matrix* grad_land,
-                         Matrix* grad_local) {
-  Matrix g = fc_.back().backward(grad_logits);
-  for (std::size_t i = relu_.size(); i-- > 0;) {
-    g = relu_[i].backward(g);
-    g = fc_[i].backward(g);
+void CoarseNet::backward_inputs(const Matrix& grad_logits,
+                                CoarseWorkspace& ws, Matrix* grad_land) const {
+  const std::size_t last = fc_.size() - 1;
+  fc_[last].backward_input(grad_logits, ws.grad_a);
+  for (std::size_t i = last; i-- > 0;) {
+    relu_gate_inplace(ws.act[i], ws.grad_a);
+    fc_[i].backward_input(ws.grad_a, ws.grad_b);
+    std::swap(ws.grad_a, ws.grad_b);
   }
 
   // Split the concat gradient back into (pooled, local) parts.
-  Matrix grad_pooled(g.rows(), local_offset_);
-  for (std::size_t r = 0; r < g.rows(); ++r) {
-    const double* row = g.row_ptr(r);
-    std::copy(row, row + local_offset_, grad_pooled.row_ptr(r));
+  const std::size_t rows = ws.grad_a.rows();
+  ws.grad_pooled.resize(rows, local_offset_);
+  ws.grad_local.resize(rows, config_.local_features);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = ws.grad_a.row_ptr(r);
+    std::copy(row, row + local_offset_, ws.grad_pooled.row_ptr(r));
+    std::copy(row + local_offset_, row + local_offset_ + config_.local_features,
+              ws.grad_local.row_ptr(r));
   }
-  if (grad_local) {
-    *grad_local = Matrix(g.rows(), config_.local_features);
-    for (std::size_t r = 0; r < g.rows(); ++r) {
-      const double* row = g.row_ptr(r) + local_offset_;
-      std::copy(row, row + config_.local_features, grad_local->row_ptr(r));
-    }
-  }
-
-  // LandPooling backward also accumulates kernel/bias gradients; it must run
-  // even when the caller discards the input gradient.
-  Matrix dland = pool_.backward(grad_pooled);
-  if (grad_land) *grad_land = std::move(dland);
-}
-
-void CoarseNet::backward_inputs(const Matrix& grad_logits, Matrix* grad_land,
-                                Matrix* grad_local) {
-  Matrix g = fc_.back().backward_input(grad_logits);
-  for (std::size_t i = relu_.size(); i-- > 0;) {
-    g = relu_[i].backward(g);
-    g = fc_[i].backward_input(g);
-  }
-
-  // Split the concat gradient back into (pooled, local) parts.
-  Matrix grad_pooled(g.rows(), local_offset_);
-  for (std::size_t r = 0; r < g.rows(); ++r) {
-    const double* row = g.row_ptr(r);
-    std::copy(row, row + local_offset_, grad_pooled.row_ptr(r));
-  }
-  if (grad_local) {
-    *grad_local = Matrix(g.rows(), config_.local_features);
-    for (std::size_t r = 0; r < g.rows(); ++r) {
-      const double* row = g.row_ptr(r) + local_offset_;
-      std::copy(row, row + config_.local_features, grad_local->row_ptr(r));
-    }
-  }
-
-  Matrix dland = pool_.backward_input(grad_pooled);
-  if (grad_land) *grad_land = std::move(dland);
-}
-
-Matrix CoarseNet::forward_from_pooled(const Matrix& pooled,
-                                      const Matrix& local) {
-  DIAGNET_REQUIRE(pooled.cols() == local_offset_ &&
-                  local.cols() == config_.local_features &&
-                  pooled.rows() == local.rows());
-  Matrix x(pooled.rows(), local_offset_ + config_.local_features);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    double* row = x.row_ptr(r);
-    std::copy(pooled.row_ptr(r), pooled.row_ptr(r) + pooled.cols(), row);
-    std::copy(local.row_ptr(r), local.row_ptr(r) + local.cols(),
-              row + local_offset_);
-  }
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
-    x = fc_[i].forward(x);
-    x = relu_[i].forward(x);
-  }
-  return fc_.back().forward(x);
-}
-
-Matrix CoarseNet::backward_inputs_from_pooled(const Matrix& grad_logits,
-                                              Matrix* grad_local) {
-  Matrix g = fc_.back().backward_input(grad_logits);
-  for (std::size_t i = relu_.size(); i-- > 0;) {
-    g = relu_[i].backward(g);
-    g = fc_[i].backward_input(g);
-  }
-
-  Matrix grad_pooled(g.rows(), local_offset_);
-  for (std::size_t r = 0; r < g.rows(); ++r) {
-    const double* row = g.row_ptr(r);
-    std::copy(row, row + local_offset_, grad_pooled.row_ptr(r));
-  }
-  if (grad_local) {
-    *grad_local = Matrix(g.rows(), config_.local_features);
-    for (std::size_t r = 0; r < g.rows(); ++r) {
-      const double* row = g.row_ptr(r) + local_offset_;
-      std::copy(row, row + config_.local_features, grad_local->row_ptr(r));
-    }
-  }
-  return grad_pooled;
+  if (grad_land) pool_.backward_input(ws.grad_pooled, ws.pool, *grad_land);
 }
 
 void CoarseNet::set_quantized(bool on) {
@@ -252,10 +159,6 @@ std::vector<Parameter*> CoarseNet::parameters() {
     for (Parameter* p : layer.parameters()) params.push_back(p);
   }
   return params;
-}
-
-void CoarseNet::zero_grad() {
-  for (Parameter* p : parameters()) p->zero_grad();
 }
 
 std::size_t CoarseNet::parameter_count() const {

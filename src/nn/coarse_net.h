@@ -13,7 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "nn/activations.h"
 #include "nn/batch.h"
 #include "nn/land_pooling.h"
 #include "nn/linear.h"
@@ -30,12 +29,13 @@ struct CoarseNetConfig {
   std::size_t classes = 7;                 // c
 };
 
-/// Per-thread forward/backward state for the data-parallel training path:
-/// activations, gradient scratch, and a full set of parameter-gradient
-/// accumulators (same order as CoarseNet::parameters()). One workspace per
-/// training shard lets any number of shards run forward+backward
-/// concurrently against one shared network; every buffer is reused with
-/// capacity-aware resizes, so steady-state steps allocate nothing.
+/// Per-thread forward/backward state: activations, gradient scratch, and
+/// (training only, see CoarseNet::init_workspace) a full set of
+/// parameter-gradient accumulators in CoarseNet::parameters() order. One
+/// workspace per thread lets any number of training shards or diagnosis
+/// chunks run concurrently against one shared const network; every buffer
+/// is reused with capacity-aware resizes, so steady-state steps allocate
+/// nothing.
 struct CoarseWorkspace {
   LandPooling::PoolContext pool;
   Matrix pooled;             // (B, ops·f)
@@ -45,6 +45,7 @@ struct CoarseWorkspace {
   Matrix grad_logits;        // dLoss/dLogits, filled by the loss
   Matrix grad_a, grad_b;     // ping-pong input-gradient buffers
   Matrix grad_pooled;        // concat gradient split, pooled part
+  Matrix grad_local;         // concat gradient split, local part
   std::vector<Matrix> param_grads;  // ordered like parameters()
 
   /// Zero the parameter-gradient accumulators (start of every step).
@@ -57,41 +58,40 @@ class CoarseNet {
  public:
   CoarseNet(const CoarseNetConfig& config, util::Rng& rng);
 
-  /// Logits over the c coarse fault families, (B x c).
-  Matrix forward(const LandBatch& batch);
-
   /// Size a workspace's parameter-gradient accumulators (zeroed) for this
-  /// network. Call once per workspace; forward/backward below size the
-  /// remaining buffers on the fly.
+  /// network — needed by backward() only; inference workspaces skip it.
+  /// forward/backward below size the remaining buffers on the fly.
   void init_workspace(CoarseWorkspace& ws) const;
 
-  /// Workspace forward: same math as forward(), but every intermediate goes
-  /// into `ws` and nothing is cached on the layers — const, so training
-  /// shards share one network. Returns ws.logits.
+  /// Logits over the c coarse fault families, (B x c): pooling into
+  /// ws.pool/ws.pooled, then forward_fc(). Every intermediate goes into
+  /// `ws` and nothing is cached on the layers — const, so threads share
+  /// one network. Returns ws.logits.
   const Matrix& forward(const LandBatch& batch, CoarseWorkspace& ws) const;
 
-  /// Workspace backward, parameter gradients only: accumulates into
-  /// ws.param_grads (zero_param_grads() first). Input gradients are not
-  /// produced — the training loop discards them, and skipping the
-  /// LandPooling dx pass saves a full K^T·dF sweep per step.
+  /// The FC stack alone, for rows whose pooling already ran (`pooled` is
+  /// (B, ops·f), `local` is (B, local_features)): concat, hidden layers,
+  /// logits. The shared-pooling attention path pools a union batch once and
+  /// hands each head its rows. Per-row bits match forward() of the same
+  /// rows — the kernels' per-row arithmetic is batch-size invariant.
+  const Matrix& forward_fc(const Matrix& pooled, const Matrix& local,
+                           CoarseWorkspace& ws) const;
+
+  /// Parameter gradients only: accumulates into ws.param_grads
+  /// (zero_param_grads() first). Input gradients are not produced — the
+  /// training loop discards them, and skipping the LandPooling dx pass
+  /// saves a full K^T·dF sweep per step.
   void backward(const Matrix& grad_logits, CoarseWorkspace& ws) const;
 
-  /// Backprop dLoss/dLogits. Accumulates parameter gradients; when
-  /// grad_land/grad_local are non-null they receive the input gradients.
-  void backward(const Matrix& grad_logits, Matrix* grad_land,
-                Matrix* grad_local);
-
-  /// Backprop dLoss/dLogits down to the inputs only: no parameter gradient
-  /// is accumulated (so no zero_grad() is needed afterwards). The input
-  /// gradients are bit-identical to backward()'s — dX never depends on the
-  /// dW/db accumulation — at roughly half the FLOPs and none of the
-  /// parameter-gradient memory traffic. This is the inference path used by
-  /// batched gradient attention.
-  void backward_inputs(const Matrix& grad_logits, Matrix* grad_land,
-                       Matrix* grad_local);
+  /// Input gradients only, after forward() or forward_fc() on `ws`: the FC
+  /// stack's input gradient split into ws.grad_pooled and ws.grad_local.
+  /// When grad_land is non-null (only after forward()), the LandPooling
+  /// input backward follows into it. No parameter gradient is computed —
+  /// the gradient-attention path at roughly half the FLOPs of backward().
+  void backward_inputs(const Matrix& grad_logits, CoarseWorkspace& ws,
+                       Matrix* grad_land = nullptr) const;
 
   std::vector<Parameter*> parameters();
-  void zero_grad();
   std::size_t parameter_count() const;
   std::size_t trainable_parameter_count() const;
 
@@ -111,27 +111,12 @@ class CoarseNet {
   /// pooling pass across specialized heads.
   bool shares_pooling_with(const CoarseNet& other) const;
 
-  /// FC-stack-only forward for the shared-pooling serving path: the caller
-  /// already pooled a (union) batch and hands this head its rows. Same
-  /// concat + FC math as forward(), with layer caches, so
-  /// backward_inputs_from_pooled() can follow. Per-row bits match a full
-  /// forward() of the same rows (the kernels' per-row group structure is
-  /// batch-size invariant).
-  Matrix forward_from_pooled(const Matrix& pooled, const Matrix& local);
-
-  /// Input-gradient backward matching forward_from_pooled: runs the FC
-  /// chain only and returns the gradient w.r.t. the pooled rows (the caller
-  /// scatters it into the union batch and runs one shared LandPooling
-  /// backward). grad_local, when non-null, receives the local-feature part.
-  Matrix backward_inputs_from_pooled(const Matrix& grad_logits,
-                                     Matrix* grad_local);
-
   const CoarseNetConfig& config() const { return config_; }
   LandPooling& pooling() { return pool_; }
   const LandPooling& pooling() const { return pool_; }
 
   /// Deep copy (shares nothing) — used to derive specialised models from
-  /// the general model.
+  /// the general model and to rebuild them on load.
   std::unique_ptr<CoarseNet> clone() const;
 
   /// Flat parameter (de)serialisation, ordered deterministically.
@@ -143,8 +128,7 @@ class CoarseNet {
 
   CoarseNetConfig config_;
   LandPooling pool_;
-  std::vector<Linear> fc_;     // hidden layers + output layer
-  std::vector<ReLU> relu_;     // one per hidden layer
+  std::vector<Linear> fc_;     // hidden layers (ReLU after each) + output
   std::size_t local_offset_ = 0;  // where local features sit in the concat
 };
 

@@ -49,12 +49,11 @@ const char* pool_op_name(PoolOp op);
 
 class LandPooling {
  public:
-  /// Per-thread forward/backward state for the workspace training path:
-  /// everything the member-cache path stores on the layer lives here
-  /// instead, so any number of shards can run forward/backward_params
-  /// concurrently against one shared (const) LandPooling. Holds pointers
-  /// to the caller's land/mask batch, which must outlive the matching
-  /// backward_params() call. All buffers are reused capacity-aware.
+  /// Per-thread forward/backward state: everything a backward pass needs
+  /// lives here, never on the layer, so any number of threads can run
+  /// forward/backward concurrently against one shared (const) LandPooling.
+  /// Holds pointers to the caller's land/mask batch, which must outlive
+  /// the matching backward call. All buffers are reused capacity-aware.
   struct PoolContext {
     const Matrix* land = nullptr;
     const Matrix* mask = nullptr;
@@ -73,30 +72,6 @@ class LandPooling {
   LandPooling(std::size_t k, std::size_t filters, std::vector<PoolOp> ops,
               util::Rng& rng);
 
-  /// land: (B, L·k) flattened landmark features, landmark-major (features of
-  /// landmark λ occupy columns [λ·k, λ·k+k)). Unavailable landmarks may hold
-  /// arbitrary values — they are skipped entirely via `mask`.
-  /// mask: (B, L), 1.0 = landmark available. Each sample needs ≥1 available.
-  /// Returns (B, ops·f).
-  Matrix forward(const Matrix& land, const Matrix& mask);
-
-  /// grad_pooled: (B, ops·f). Accumulates kernel/bias gradients and returns
-  /// the gradient w.r.t. `land` (zeros at masked-out landmarks).
-  Matrix backward(const Matrix& grad_pooled);
-
-  /// Input gradient only: identical routing and dx = K^T · dF as backward(),
-  /// but kernel/bias gradients are left untouched. dx does not depend on the
-  /// accumulation, so the result is bit-identical to backward()'s — this is
-  /// the inference path (gradient attention).
-  Matrix backward_input(const Matrix& grad_pooled) const;
-
-  /// Input gradient against a ctx-forward: same math as backward_input(),
-  /// but reading the batch from `ctx` instead of the member caches. Rows
-  /// are fully independent, so a union batch pooled once and back-propped
-  /// once yields, per row, the same bits as pooling each sub-batch alone —
-  /// the property the shared-pooling serving path relies on.
-  Matrix backward_input_with(PoolContext& ctx, const Matrix& grad_pooled) const;
-
   /// True when `other` computes the identical pooling function: same k,
   /// filter count, operator bank, and bit-identical kernel/bias values.
   /// Specialized heads fine-tuned with --freeze-kernel keep this true
@@ -104,18 +79,29 @@ class LandPooling {
   /// LandPooling pass across services.
   bool same_parameters(const LandPooling& other) const;
 
-  /// Workspace forward: same math as forward(), but all state goes into
-  /// `ctx` and the pooled output into `out` (capacity-aware resize). Const,
-  /// so training shards can share one layer.
+  /// land: (B, L·k) flattened landmark features, landmark-major (features of
+  /// landmark λ occupy columns [λ·k, λ·k+k)). Unavailable landmarks may hold
+  /// arbitrary values — they are skipped entirely via `mask`.
+  /// mask: (B, L), 1.0 = landmark available. Each sample needs ≥1 available.
+  /// Writes the pooled (B, ops·f) rows into `out` (capacity-aware resize)
+  /// and the state a backward pass needs into `ctx`.
   void forward(const Matrix& land, const Matrix& mask, PoolContext& ctx,
                Matrix& out) const;
 
-  /// Workspace backward, parameter gradients only: dK += Σ dF[λ] ⊗ x[λ] and
-  /// db += Σ dF[λ] accumulated into the given (pre-zeroed) buffers. The
-  /// input gradient is skipped entirely — training discards it, which saves
-  /// the K^T·dF pass the member-path backward() always pays.
+  /// Parameter gradients only: dK += Σ dF[λ] ⊗ x[λ] and db += Σ dF[λ]
+  /// accumulated into the given (pre-zeroed) buffers. The input gradient is
+  /// skipped entirely — training discards it, which saves the K^T·dF pass.
   void backward_params(const Matrix& grad_pooled, PoolContext& ctx,
                        Matrix& kernel_grad, Matrix& bias_grad) const;
+
+  /// Input gradient only: grad_land = dLoss/dland (zeros at masked-out
+  /// landmarks), kernel/bias gradients untouched — the gradient-attention
+  /// path. Rows are fully independent, so a union batch pooled once and
+  /// back-propped once yields, per row, the same bits as pooling each
+  /// sub-batch alone — the property the shared-pooling serving path relies
+  /// on.
+  void backward_input(const Matrix& grad_pooled, PoolContext& ctx,
+                      Matrix& grad_land) const;
 
   std::vector<Parameter*> parameters() { return {&kernel_, &bias_}; }
 
@@ -128,35 +114,23 @@ class LandPooling {
   Parameter& bias() { return bias_; }
 
  private:
-  /// Convolution stage shared by both forward paths: F[λ] = K·x[λ] + b for
-  /// every available landmark, into `conv` (resized/zeroed here).
+  /// Convolution stage: F[λ] = K·x[λ] + b for every available landmark,
+  /// into `conv` (resized/zeroed here).
   void compute_conv(const Matrix& land, const Matrix& mask,
                     std::vector<double>& conv) const;
-  /// Pooling stage shared by both forward paths.
+  /// Pooling stage: the operator bank over `conv`, into `out`.
   void pool_from_conv(const Matrix& mask, const std::vector<double>& conv,
                       Matrix& out, std::vector<double>& values,
                       std::vector<std::size_t>& order) const;
-  /// Stage 1 of every backward pass: route pooled gradients to the
-  /// per-(sample, landmark, filter) dF, into `dconv` (resized/zeroed here).
-  void route_grads(const Matrix& mask, const std::vector<double>& conv,
-                   const Matrix& grad_pooled, std::vector<double>& dconv,
-                   std::vector<double>& values, std::vector<std::size_t>& order,
-                   std::vector<std::size_t>& slot_lam) const;
-  /// Member-cache wrapper over route_grads (legacy backward paths).
-  std::vector<double> route_pooled_grads(const Matrix& grad_pooled) const;
+  /// Stage 1 of both backward passes: route pooled gradients to the
+  /// per-(sample, landmark, filter) dF, into ctx.dconv (resized/zeroed).
+  void route_grads(const Matrix& grad_pooled, PoolContext& ctx) const;
 
   std::size_t k_;
   std::size_t filters_;
   std::vector<PoolOp> ops_;
   Parameter kernel_;  // (f x k)
   Parameter bias_;    // (1 x f)
-
-  // Forward caches (valid until the next forward call).
-  Matrix land_;
-  Matrix mask_;
-  std::size_t batch_ = 0;
-  std::size_t landmarks_ = 0;
-  std::vector<double> conv_;  // (B, L, f): F[λ] values, 0 where unavailable
 };
 
 }  // namespace diagnet::nn

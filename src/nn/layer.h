@@ -1,15 +1,13 @@
 // Building blocks for the coarse-prediction network.
 //
 // The library uses plain reverse-mode backprop with explicitly wired layers
-// (no tape): every layer caches what its backward pass needs during forward,
-// and backward() both accumulates parameter gradients and returns the
-// gradient with respect to its input. Input gradients are first-class — the
-// DiagNet attention mechanism (paper §III-E) differentiates the loss with
-// respect to the *features*, not just the weights.
+// (no tape). Layers are const during forward/backward: every activation a
+// backward pass needs lives in a caller-owned workspace (CoarseWorkspace,
+// LandPooling::PoolContext), so any number of threads can share one
+// network. Input gradients are first-class — the DiagNet attention
+// mechanism (paper §III-E) differentiates the loss with respect to the
+// *features*, not just the weights.
 #pragma once
-
-#include <string>
-#include <vector>
 
 #include "tensor/matrix.h"
 
@@ -27,25 +25,6 @@ struct Parameter {
 
   explicit Parameter(Matrix v) : value(std::move(v)), grad(value.rows(), value.cols()) {}
   void zero_grad() { grad.fill(0.0); }
-};
-
-/// Interface for layers that map a (batch x in) matrix to (batch x out).
-class Layer {
- public:
-  virtual ~Layer() = default;
-
-  /// Forward pass over a batch (rows are samples). Caches activations
-  /// needed by backward(); a forward() invalidates the previous cache.
-  virtual Matrix forward(const Matrix& input) = 0;
-
-  /// Given dLoss/dOutput, accumulate parameter gradients and return
-  /// dLoss/dInput. Must be called after forward() on the same batch.
-  virtual Matrix backward(const Matrix& grad_output) = 0;
-
-  /// All trainable parameters (empty for stateless layers).
-  virtual std::vector<Parameter*> parameters() { return {}; }
-
-  virtual std::string name() const = 0;
 };
 
 }  // namespace diagnet::nn

@@ -18,38 +18,6 @@ Linear::Linear(std::size_t in, std::size_t out, util::Rng& rng)
   // Bias stays zero-initialised.
 }
 
-Matrix Linear::forward(const Matrix& input) {
-  DIAGNET_REQUIRE_MSG(input.cols() == in_features(), "input width mismatch");
-  input_ = input;
-  Matrix out;
-  if (quant_.valid()) {
-    quantized_forward(quant_, input, bias_.value, out);
-    return out;
-  }
-  tensor::gemm(input, weight_.value, out);
-  tensor::add_row_bias(out, bias_.value);
-  return out;
-}
-
-Matrix Linear::backward(const Matrix& grad_output) {
-  DIAGNET_REQUIRE_MSG(grad_output.rows() == input_.rows() &&
-                          grad_output.cols() == out_features(),
-                      "backward called with mismatched gradient");
-  // dW = X^T · dY, accumulated (a zero_grad happens per optimizer step).
-  Matrix dw;
-  tensor::gemm_at_b(input_, grad_output, dw);
-  weight_.grad += dw;
-
-  Matrix db;
-  tensor::sum_rows(grad_output, db);
-  bias_.grad += db;
-
-  // dX = dY · W^T.
-  Matrix dx;
-  tensor::gemm_a_bt(grad_output, weight_.value, dx);
-  return dx;
-}
-
 void Linear::forward_into(const Matrix& input, Matrix& out) const {
   DIAGNET_REQUIRE_MSG(input.cols() == in_features(), "input width mismatch");
   if (quant_.valid()) {
@@ -81,12 +49,11 @@ void Linear::backward_into(const Matrix& input, const Matrix& grad_output,
   if (grad_input) tensor::gemm_a_bt(grad_output, weight_.value, *grad_input);
 }
 
-Matrix Linear::backward_input(const Matrix& grad_output) const {
+void Linear::backward_input(const Matrix& grad_output,
+                            Matrix& grad_input) const {
   DIAGNET_REQUIRE_MSG(grad_output.cols() == out_features(),
                       "backward called with mismatched gradient");
-  Matrix dx;
-  tensor::gemm_a_bt(grad_output, weight_.value, dx);
-  return dx;
+  tensor::gemm_a_bt(grad_output, weight_.value, grad_input);
 }
 
 }  // namespace diagnet::nn

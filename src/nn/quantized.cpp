@@ -49,7 +49,7 @@ void quantized_forward(const QuantizedLinear& q, const tensor::Matrix& input,
   if (rows == 0) return;
   const tensor::detail::Kernels& K = tensor::detail::active_kernels();
   // Per-thread scratch: quantized_forward is const over the layer and may
-  // run concurrently on cloned nets sharing nothing else.
+  // run concurrently on one shared net.
   thread_local std::vector<std::int8_t> qx;
   thread_local std::vector<std::int32_t> acc;
   qx.resize(q.in);

@@ -1,7 +1,11 @@
 #include "testkit/differential.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/attention.h"
@@ -10,11 +14,27 @@
 #include "nn/softmax.h"
 #include "tensor/ops.h"
 #include "testkit/gen.h"
+#include "testkit/nets.h"
 #include "testkit/oracle.h"
 
 namespace diagnet::testkit {
 
 namespace {
+
+/// Row r of m as a one-row matrix.
+tensor::Matrix row_of(const tensor::Matrix& m, std::size_t r) {
+  tensor::Matrix out(1, m.cols());
+  std::copy(m.row_ptr(r), m.row_ptr(r) + m.cols(), out.row_ptr(0));
+  return out;
+}
+
+/// Row ra of a and row rb of b hold the same bits.
+bool same_row(const tensor::Matrix& a, std::size_t ra, const tensor::Matrix& b,
+              std::size_t rb) {
+  return a.cols() == b.cols() &&
+         std::memcmp(a.row_ptr(ra), b.row_ptr(rb),
+                     a.cols() * sizeof(double)) == 0;
+}
 
 // Agreement bound for same-precision kernels that merely reorder the
 // double-precision sums (tiling, sharding): relative to max(|a|,|b|,1).
@@ -137,31 +157,75 @@ void check_landpool_oracle(CaseContext& ctx) {
   nn::LandPooling pool(k, filters, nn::default_pool_ops(), layer_rng);
   const nn::LandBatch input = gen::land_batch(rng, batch, landmarks, k, 1);
 
-  const tensor::Matrix out = pool.forward(input.land, input.mask);
+  const tensor::Matrix out = pool_forward(pool, input.land, input.mask);
   const tensor::Matrix want = oracle::land_pooling(
       pool.kernel().value, pool.bias().value, pool.ops(), input.land,
       input.mask);
   ctx.check_near(oracle::max_rel_diff(out, want), 0.0, 1e-9,
                  "LandPooling forward vs oracle");
 
-  // Workspace path must match the member-cache path bit for bit.
-  ctx.begin_case();
-  nn::LandPooling::PoolContext ws;
-  tensor::Matrix ws_out;
-  pool.forward(input.land, input.mask, ws, ws_out);
-  ctx.check(oracle::max_abs_diff(out, ws_out) == 0.0,
-            "workspace forward must equal member forward bit-exact");
-
-  // backward_input routes identically to backward's input gradient.
+  // Rows are independent: each row pooled and back-propagated alone gives
+  // the bits of the batched pass — what the shared-pooling union relies on.
   ctx.begin_case();
   const tensor::Matrix grad_pooled =
       gen::matrix(rng, batch, pool.out_features());
-  const tensor::Matrix dx_only = pool.backward_input(grad_pooled);
-  pool.kernel().zero_grad();
-  pool.bias().zero_grad();
-  const tensor::Matrix dx_full = pool.backward(grad_pooled);
-  ctx.check(oracle::max_abs_diff(dx_only, dx_full) == 0.0,
-            "backward_input must equal backward's dx bit-exact");
+  nn::LandPooling::PoolContext pctx;
+  tensor::Matrix pooled, dx;
+  pool.forward(input.land, input.mask, pctx, pooled);
+  pool.backward_input(grad_pooled, pctx, dx);
+  for (std::size_t r = 0; r < batch; ++r) {
+    const tensor::Matrix land = row_of(input.land, r);
+    const tensor::Matrix mask = row_of(input.mask, r);
+    nn::LandPooling::PoolContext row_ctx;
+    tensor::Matrix row_pooled, row_dx;
+    pool.forward(land, mask, row_ctx, row_pooled);
+    pool.backward_input(row_of(grad_pooled, r), row_ctx, row_dx);
+    ctx.check(same_row(row_pooled, 0, pooled, r),
+              "pooled row " + std::to_string(r) + " must match alone");
+    ctx.check(same_row(row_dx, 0, dx, r),
+              "input gradient row " + std::to_string(r) +
+                  " must match alone");
+  }
+
+  // A numerically hostile row (NaN, ±inf and overflowing features) leaves
+  // its batch-mates' bits untouched. Over 16 landmarks std::sort leaves
+  // its insertion-sort regime, so this also pins that the NaN-aware slot
+  // order stays a valid strict weak ordering.
+  ctx.begin_case();
+  const std::size_t wide = gen::dim(rng, 17, 40);
+  const nn::LandBatch clean = gen::land_batch(rng, 2, wide, k, 1);
+  nn::LandBatch hostile = gen::land_batch(rng, 3, wide, k, 1);
+  const double poison[] = {std::nan(""), 1e308, -1e308,
+                           std::numeric_limits<double>::infinity()};
+  for (std::size_t c = 0; c < hostile.land.cols(); ++c) {
+    hostile.land(0, c) = clean.land(0, c);
+    hostile.land(1, c) = poison[c % 4];
+    hostile.land(2, c) = clean.land(1, c);
+  }
+  for (std::size_t lam = 0; lam < wide; ++lam) {
+    hostile.mask(0, lam) = clean.mask(0, lam);
+    hostile.mask(1, lam) = 1.0;
+    hostile.mask(2, lam) = clean.mask(1, lam);
+  }
+  const tensor::Matrix clean_grad = gen::matrix(rng, 2, pool.out_features());
+  tensor::Matrix hostile_grad(3, pool.out_features(), 1.0);
+  for (std::size_t c = 0; c < pool.out_features(); ++c) {
+    hostile_grad(0, c) = clean_grad(0, c);
+    hostile_grad(2, c) = clean_grad(1, c);
+  }
+  nn::LandPooling::PoolContext clean_ctx, hostile_ctx;
+  tensor::Matrix clean_pooled, clean_dx, hostile_pooled, hostile_dx;
+  pool.forward(clean.land, clean.mask, clean_ctx, clean_pooled);
+  pool.backward_input(clean_grad, clean_ctx, clean_dx);
+  pool.forward(hostile.land, hostile.mask, hostile_ctx, hostile_pooled);
+  pool.backward_input(hostile_grad, hostile_ctx, hostile_dx);
+  for (const auto& [c, h] :
+       {std::pair<std::size_t, std::size_t>{0, 0}, {1, 2}}) {
+    ctx.check(same_row(clean_pooled, c, hostile_pooled, h),
+              "a hostile row must not move its batch-mates' pooled bits");
+    ctx.check(same_row(clean_dx, c, hostile_dx, h),
+              "a hostile row must not move its batch-mates' gradients");
+  }
 }
 
 void check_landpool_grad(CaseContext& ctx) {
@@ -202,17 +266,19 @@ void check_landpool_grad(CaseContext& ctx) {
   // Scalar loss L = Σ w ⊙ pool(land); dL/dpooled = w.
   const tensor::Matrix weights = gen::matrix(rng, 1, pool.out_features());
   const auto loss = [&](const tensor::Matrix& land) {
-    const tensor::Matrix out = pool.forward(land, input.mask);
+    const tensor::Matrix out = pool_forward(pool, land, input.mask);
     double total = 0.0;
     for (std::size_t j = 0; j < out.cols(); ++j)
       total += weights(0, j) * out(0, j);
     return total;
   };
 
-  pool.kernel().zero_grad();
-  pool.bias().zero_grad();
-  (void)pool.forward(input.land, input.mask);
-  const tensor::Matrix dx = pool.backward(weights);
+  nn::LandPooling::PoolContext pctx;
+  tensor::Matrix pooled, dx;
+  tensor::Matrix kernel_grad(filters, k), bias_grad(1, filters);
+  pool.forward(input.land, input.mask, pctx, pooled);
+  pool.backward_params(weights, pctx, kernel_grad, bias_grad);
+  pool.backward_input(weights, pctx, dx);
 
   const double eps = 1e-6;
   // Input gradient: probe a handful of coordinates.
@@ -242,7 +308,7 @@ void check_landpool_grad(CaseContext& ctx) {
     entry = saved - eps;
     const double down = param_loss();
     entry = saved;
-    ctx.check_near(pool.kernel().grad(f, t), (up - down) / (2.0 * eps), 1e-4,
+    ctx.check_near(kernel_grad(f, t), (up - down) / (2.0 * eps), 1e-4,
                    "kernel gradient vs finite difference (" +
                        std::to_string(f) + "," + std::to_string(t) + ")");
   }
@@ -254,7 +320,7 @@ void check_landpool_grad(CaseContext& ctx) {
     entry = saved - eps;
     const double down = param_loss();
     entry = saved;
-    ctx.check_near(pool.bias().grad(0, f), (up - down) / (2.0 * eps), 1e-4,
+    ctx.check_near(bias_grad(0, f), (up - down) / (2.0 * eps), 1e-4,
                    "bias gradient vs finite difference, filter " +
                        std::to_string(f));
   }
@@ -274,8 +340,7 @@ void check_attention_batch(CaseContext& ctx) {
   const nn::LandBatch all = gen::land_batch(
       rng, batch, L, config.features_per_landmark, config.local_features);
 
-  const std::vector<core::AttentionResult> batched =
-      core::compute_attention_batch(net, all, fs);
+  const std::vector<core::AttentionResult> batched = attention(net, all, fs);
   ctx.check_eq(batched.size(), batch, "one attention result per row");
 
   for (std::size_t r = 0; r < batch; ++r) {
@@ -291,8 +356,7 @@ void check_attention_batch(CaseContext& ctx) {
     for (std::size_t j = 0; j < all.local.cols(); ++j)
       row.local(0, j) = all.local(r, j);
 
-    const core::AttentionResult single =
-        core::compute_attention(net, row, fs);
+    const core::AttentionResult single = attention(net, row, fs).front();
     ctx.check_eq(batched[r].coarse_argmax, single.coarse_argmax,
                  "argmax, row " + std::to_string(r));
     for (std::size_t c = 0; c < single.coarse_probs.size(); ++c)

@@ -17,9 +17,7 @@ void check_gemm_oracle(CaseContext& ctx);
 /// sharded-sum variants) against the oracle.
 void check_softmax_oracle(CaseContext& ctx);
 
-/// LandPooling forward vs the from-first-principles oracle, and the
-/// member-cache vs workspace paths plus backward vs backward_input
-/// bit-equality.
+/// LandPooling forward vs the from-first-principles oracle.
 void check_landpool_oracle(CaseContext& ctx);
 
 /// LandPooling kernel/bias/input gradients vs central finite differences
@@ -27,8 +25,8 @@ void check_landpool_oracle(CaseContext& ctx);
 /// loss is smooth within the probe step).
 void check_landpool_grad(CaseContext& ctx);
 
-/// compute_attention_batch row r is bit-identical to compute_attention on
-/// row r alone.
+/// Gradient attention over a batch (a union of one group) is, row r,
+/// bit-identical to the same union path on row r alone.
 void check_attention_batch(CaseContext& ctx);
 
 }  // namespace diagnet::testkit

@@ -12,6 +12,7 @@
 #include "nn/coarse_net.h"
 #include "nn/land_pooling.h"
 #include "testkit/gen.h"
+#include "testkit/nets.h"
 #include "testkit/oracle.h"
 
 namespace diagnet::testkit {
@@ -97,8 +98,8 @@ void check_pooling_permutation(CaseContext& ctx) {
   const auto perm = gen::permutation(rng, landmarks);
   const nn::LandBatch permuted = permute_landmarks(batch, perm, k);
 
-  const tensor::Matrix base = pool.forward(batch.land, batch.mask);
-  const tensor::Matrix out = pool.forward(permuted.land, permuted.mask);
+  const tensor::Matrix base = pool_forward(pool, batch.land, batch.mask);
+  const tensor::Matrix out = pool_forward(pool, permuted.land, permuted.mask);
   ctx.check_near(oracle::max_abs_diff(base, out), 0.0, kTol,
                  "pooled features must ignore landmark order");
 
@@ -114,9 +115,9 @@ void check_pooling_permutation(CaseContext& ctx) {
   const auto nperm = gen::permutation(rng, L);
   const nn::LandBatch npermuted =
       permute_landmarks(nb, nperm, config.features_per_landmark);
-  const tensor::Matrix logits = net.forward(nb);
-  const tensor::Matrix logits_perm = net.forward(npermuted);
-  ctx.check_near(oracle::max_abs_diff(logits, logits_perm), 0.0, kTol,
+  const tensor::Matrix base_logits = logits(net, nb);
+  const tensor::Matrix logits_perm = logits(net, npermuted);
+  ctx.check_near(oracle::max_abs_diff(base_logits, logits_perm), 0.0, kTol,
                  "coarse logits must ignore landmark order");
 }
 
@@ -139,9 +140,8 @@ void check_ranking_permutation(CaseContext& ctx) {
       permute_landmarks(sample, perm, config.features_per_landmark);
   const auto map = feature_map(fs, perm);
 
-  const core::AttentionResult a = core::compute_attention(net, sample, fs);
-  const core::AttentionResult b =
-      core::compute_attention(net, permuted, fs);
+  const core::AttentionResult a = attention(net, sample, fs).front();
+  const core::AttentionResult b = attention(net, permuted, fs).front();
 
   ctx.check_eq(a.coarse_argmax, b.coarse_argmax,
                "coarse argmax must ignore landmark order");
@@ -208,14 +208,14 @@ void check_extensibility_dims(CaseContext& ctx) {
   for (const std::size_t L : {l1, l2}) {
     const nn::LandBatch batch = gen::land_batch(
         rng, 2, L, config.features_per_landmark, config.local_features);
-    tensor::Matrix pooled =
-        net.pooling().forward(batch.land, batch.mask);
+    const tensor::Matrix pooled =
+        pool_forward(net.pooling(), batch.land, batch.mask);
     ctx.check_eq(pooled.cols(), expected,
                  "pooled width with L=" + std::to_string(L));
-    const tensor::Matrix logits = net.forward(batch);
-    ctx.check_eq(logits.cols(), config.classes,
+    const tensor::Matrix out = logits(net, batch);
+    ctx.check_eq(out.cols(), config.classes,
                  "logit width with L=" + std::to_string(L));
-    ctx.check_eq(logits.rows(), batch.size(),
+    ctx.check_eq(out.rows(), batch.size(),
                  "logit rows with L=" + std::to_string(L));
   }
 }
@@ -247,16 +247,15 @@ void check_extensibility_masked_noop(CaseContext& ctx) {
       ext.land(0, lam * k + t) = base.land(0, lam * k + t);
   }
 
-  const tensor::Matrix logits_base = net.forward(base);
-  const tensor::Matrix logits_ext = net.forward(ext);
+  const tensor::Matrix logits_base = logits(net, base);
+  const tensor::Matrix logits_ext = logits(net, ext);
   ctx.check(oracle::max_abs_diff(logits_base, logits_ext) == 0.0,
             "masked extra landmarks must be a bit-exact no-op on logits");
 
   ctx.begin_case();
   const core::AttentionResult att_base =
-      core::compute_attention(net, base, fs_base);
-  const core::AttentionResult att_ext =
-      core::compute_attention(net, ext, fs_ext);
+      attention(net, base, fs_base).front();
+  const core::AttentionResult att_ext = attention(net, ext, fs_ext).front();
   for (std::size_t c = 0; c < att_base.coarse_probs.size(); ++c)
     ctx.check(att_ext.coarse_probs[c] == att_base.coarse_probs[c],
               "coarse probs must be bit-exact under masked extension");

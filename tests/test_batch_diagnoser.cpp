@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/batch_diagnoser.h"
@@ -139,6 +142,68 @@ TEST(BatchDiagnoser, ZeroBatchSizeThrows) {
   config.batch_size = 0;
   EXPECT_THROW(core::BatchDiagnoser(p.diagnet(), config), std::exception);
 }
+
+/// Request poisons that must fail alone: a landmark mask with nothing
+/// available, a NaN feature, and a row whose features are all 1e308
+/// (finite, so it passes validation, but it overflows the network).
+enum class Poison { kNoLandmark, kNanFeature, kHugeFeatures };
+
+const char* poison_name(Poison poison) {
+  switch (poison) {
+    case Poison::kNoLandmark: return "NoLandmark";
+    case Poison::kNanFeature: return "NanFeature";
+    case Poison::kHugeFeatures: return "HugeFeatures";
+  }
+  return "?";
+}
+
+class PoisonRow
+    : public ::testing::TestWithParam<std::tuple<Poison, std::size_t>> {};
+
+TEST_P(PoisonRow, FailsAloneWithInvalidArgument) {
+  const auto [poison, threads] = GetParam();
+  auto& p = pipeline();
+  const std::vector<std::size_t> indices = p.faulty_test_indices();
+  ASSERT_GE(indices.size(), 3u);
+
+  core::DiagnoseRequest bad = request_for(indices[1]);
+  if (poison == Poison::kNoLandmark)
+    bad.landmark_available.assign(bad.landmark_available.size(), false);
+  else if (poison == Poison::kNanFeature)
+    bad.features[3] = std::nan("");
+  else
+    bad.features.assign(bad.features.size(), 1e308);
+  const std::vector<core::DiagnoseRequest> requests = {
+      request_for(indices[0]), bad, request_for(indices[2])};
+
+  util::ThreadPool pool(threads);
+  core::BatchDiagnoserConfig config;
+  config.pool = &pool;
+  const core::BatchDiagnoser batcher(p.diagnet(), config);
+  const std::vector<core::DiagnoseResponse> got = batcher.run(requests);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[1].status.code(), util::StatusCode::kInvalidArgument)
+      << got[1].status.message();
+
+  for (const std::size_t i : {0u, 2u}) {
+    SCOPED_TRACE("clean row " + std::to_string(i));
+    const std::vector<core::DiagnoseResponse> alone = batcher.run({requests[i]});
+    ASSERT_TRUE(got[i].ok()) << got[i].status.message();
+    ASSERT_TRUE(alone[0].ok()) << alone[0].status.message();
+    expect_bit_identical(got[i].diagnosis, alone[0].diagnosis);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BatchDiagnoser, PoisonRow,
+    ::testing::Combine(::testing::Values(Poison::kNoLandmark,
+                                         Poison::kNanFeature,
+                                         Poison::kHugeFeatures),
+                       ::testing::Values(std::size_t{1}, std::size_t{4})),
+    [](const auto& param_info) {
+      return std::string(poison_name(std::get<0>(param_info.param))) +
+             "_threads" + std::to_string(std::get<1>(param_info.param));
+    });
 
 }  // namespace
 }  // namespace diagnet

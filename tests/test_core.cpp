@@ -10,6 +10,7 @@
 #include "core/score_weighting.h"
 #include "data/feature_space.h"
 #include "tests/test_helpers.h"
+#include "testkit/nets.h"
 
 namespace diagnet::core {
 namespace {
@@ -44,7 +45,7 @@ struct CoreFixture {
 TEST(Attention, GammaIsANormalisedDistribution) {
   CoreFixture fixture;
   const AttentionResult result =
-      compute_attention(*fixture.net, fixture.sample(1), fixture.fs);
+      testkit::attention(*fixture.net, fixture.sample(1), fixture.fs).front();
   EXPECT_EQ(result.gamma.size(), 55u);
   double sum = 0.0;
   for (double g : result.gamma) {
@@ -67,8 +68,8 @@ TEST(Attention, GammaIsANormalisedDistribution) {
 TEST(Attention, MaskedLandmarkGetsZeroAttention) {
   CoreFixture fixture;
   const std::size_t masked = 3;
-  const AttentionResult result = compute_attention(
-      *fixture.net, fixture.sample(2, masked), fixture.fs);
+  const AttentionResult result = testkit::attention(
+      *fixture.net, fixture.sample(2, masked), fixture.fs).front();
   for (std::size_t m = 0; m < 5; ++m) {
     const std::size_t j =
         fixture.fs.landmark_feature(masked, static_cast<data::Metric>(m));
@@ -78,20 +79,25 @@ TEST(Attention, MaskedLandmarkGetsZeroAttention) {
 
 TEST(Attention, DoesNotLeakParameterGradients) {
   CoreFixture fixture;
-  compute_attention(*fixture.net, fixture.sample(3), fixture.fs);
+  testkit::attention(*fixture.net, fixture.sample(3), fixture.fs);
   for (nn::Parameter* param : fixture.net->parameters())
     for (std::size_t i = 0; i < param->grad.size(); ++i)
       EXPECT_DOUBLE_EQ(param->grad.data()[i], 0.0);
 }
 
 TEST(Attention, RejectsBatches) {
+  // Occlusion probes one sample at a time; the gradient path takes whole
+  // batches but rejects a group row outside the batch.
   CoreFixture fixture;
   nn::LandBatch batch = fixture.sample(4);
   nn::LandBatch two;
   two.land = nn::Matrix(2, batch.land.cols());
   two.mask = nn::Matrix(2, batch.mask.cols(), 1.0);
   two.local = nn::Matrix(2, batch.local.cols());
-  EXPECT_THROW(compute_attention(*fixture.net, two, fixture.fs),
+  EXPECT_THROW(compute_occlusion_attention(*fixture.net, two, fixture.fs),
+               std::logic_error);
+  EXPECT_THROW(compute_attention_shared_pooling({{fixture.net.get(), {0, 2}}},
+                                                two, fixture.fs),
                std::logic_error);
 }
 

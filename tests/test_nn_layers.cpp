@@ -1,10 +1,9 @@
-// Unit tests for Linear, ReLU and the softmax/cross-entropy losses,
-// including finite-difference gradient checks of every parameter and of
-// the input path (the input gradients feed DiagNet's attention mechanism).
+// Unit tests for Linear and the softmax/cross-entropy losses, including
+// finite-difference gradient checks of every parameter and of the input
+// path (the input gradients feed DiagNet's attention mechanism).
 
 #include <gtest/gtest.h>
 
-#include "nn/activations.h"
 #include "nn/linear.h"
 #include "nn/softmax.h"
 #include "tests/test_helpers.h"
@@ -17,12 +16,18 @@ using test::finite_difference;
 using test::random_matrix;
 using test::rel_error;
 
+Matrix forward(const Linear& layer, const Matrix& input) {
+  Matrix out;
+  layer.forward_into(input, out);
+  return out;
+}
+
 TEST(Linear, ForwardMatchesManualComputation) {
   util::Rng rng(1);
   Linear layer(2, 2, rng);
   layer.weight().value = Matrix{{1.0, 2.0}, {3.0, 4.0}};
   layer.bias().value = Matrix{{0.5, -0.5}};
-  const Matrix out = layer.forward(Matrix{{1.0, 1.0}});
+  const Matrix out = forward(layer, Matrix{{1.0, 1.0}});
   EXPECT_DOUBLE_EQ(out(0, 0), 4.5);   // 1*1 + 1*3 + 0.5
   EXPECT_DOUBLE_EQ(out(0, 1), 5.5);   // 1*2 + 1*4 - 0.5
 }
@@ -30,7 +35,7 @@ TEST(Linear, ForwardMatchesManualComputation) {
 TEST(Linear, RejectsWrongInputWidth) {
   util::Rng rng(2);
   Linear layer(3, 2, rng);
-  EXPECT_THROW(layer.forward(Matrix(1, 4)), std::logic_error);
+  EXPECT_THROW(forward(layer, Matrix(1, 4)), std::logic_error);
 }
 
 TEST(Linear, GradientCheckAllPaths) {
@@ -41,7 +46,7 @@ TEST(Linear, GradientCheckAllPaths) {
 
   // Scalar loss: 0.5 * ||forward(input) - target||^2.
   const auto loss = [&] {
-    const Matrix out = layer.forward(input);
+    const Matrix out = forward(layer, input);
     double l = 0.0;
     for (std::size_t r = 0; r < out.rows(); ++r)
       for (std::size_t c = 0; c < out.cols(); ++c) {
@@ -51,28 +56,29 @@ TEST(Linear, GradientCheckAllPaths) {
     return l;
   };
 
-  // Analytic gradients.
-  const Matrix out = layer.forward(input);
-  Matrix grad_out = out;
+  // Analytic gradients: the training backward (dW, db, dX) and the
+  // input-only backward the attention path uses.
+  Matrix grad_out = forward(layer, input);
   grad_out -= target;
-  layer.weight().zero_grad();
-  layer.bias().zero_grad();
-  const Matrix grad_in = layer.backward(grad_out);
+  Matrix grad_w(4, 3), grad_b(1, 3), grad_in, grad_in_only;
+  layer.backward_into(input, grad_out, grad_w, grad_b, &grad_in);
+  layer.backward_input(grad_out, grad_in_only);
 
   for (std::size_t r = 0; r < layer.weight().value.rows(); ++r)
     for (std::size_t c = 0; c < layer.weight().value.cols(); ++c) {
       const double fd =
           finite_difference(loss, layer.weight().value(r, c));
-      EXPECT_LT(rel_error(fd, layer.weight().grad(r, c)), 1e-5);
+      EXPECT_LT(rel_error(fd, grad_w(r, c)), 1e-5);
     }
   for (std::size_t c = 0; c < layer.bias().value.cols(); ++c) {
     const double fd = finite_difference(loss, layer.bias().value(0, c));
-    EXPECT_LT(rel_error(fd, layer.bias().grad(0, c)), 1e-5);
+    EXPECT_LT(rel_error(fd, grad_b(0, c)), 1e-5);
   }
   for (std::size_t r = 0; r < input.rows(); ++r)
     for (std::size_t c = 0; c < input.cols(); ++c) {
       const double fd = finite_difference(loss, input(r, c));
       EXPECT_LT(rel_error(fd, grad_in(r, c)), 1e-5);
+      EXPECT_LT(rel_error(fd, grad_in_only(r, c)), 1e-5);
     }
 }
 
@@ -81,28 +87,13 @@ TEST(Linear, GradientsAccumulateAcrossBackwards) {
   Linear layer(2, 2, rng);
   const Matrix input = random_matrix(3, 2, 9);
   const Matrix grad = random_matrix(3, 2, 10);
-  layer.forward(input);
-  layer.backward(grad);
-  const double once = layer.weight().grad(0, 0);
-  layer.forward(input);
-  layer.backward(grad);
-  EXPECT_NEAR(layer.weight().grad(0, 0), 2.0 * once, 1e-12);
-}
-
-TEST(ReLU, ClampsNegatives) {
-  ReLU relu;
-  const Matrix out = relu.forward(Matrix{{-1.0, 0.0, 2.0}});
-  EXPECT_DOUBLE_EQ(out(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(out(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(out(0, 2), 2.0);
-}
-
-TEST(ReLU, GatesGradient) {
-  ReLU relu;
-  relu.forward(Matrix{{-1.0, 3.0}});
-  const Matrix dx = relu.backward(Matrix{{5.0, 5.0}});
-  EXPECT_DOUBLE_EQ(dx(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(dx(0, 1), 5.0);
+  Matrix grad_w(2, 2), grad_b(1, 2);
+  layer.backward_into(input, grad, grad_w, grad_b, nullptr);
+  const double once_w = grad_w(0, 0);
+  const double once_b = grad_b(0, 0);
+  layer.backward_into(input, grad, grad_w, grad_b, nullptr);
+  EXPECT_NEAR(grad_w(0, 0), 2.0 * once_w, 1e-12);
+  EXPECT_NEAR(grad_b(0, 0), 2.0 * once_b, 1e-12);
 }
 
 TEST(Softmax, RowsSumToOne) {
@@ -158,7 +149,7 @@ TEST(SoftmaxXent, RejectsBadLabel) {
 
 TEST(IdealLabelGrad, IsSoftmaxMinusOnehot) {
   const Matrix logits{{1.0, 2.0, 0.5}};
-  const Matrix g = ideal_label_grad(logits, 1);
+  const Matrix g = ideal_label_grads(logits, {1});
   const Matrix probs = softmax(logits);
   EXPECT_NEAR(g(0, 0), probs(0, 0), 1e-12);
   EXPECT_NEAR(g(0, 1), probs(0, 1) - 1.0, 1e-12);

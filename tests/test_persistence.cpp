@@ -11,6 +11,7 @@
 #include "data/split.h"
 #include "eval/pipeline.h"
 #include "testkit/fuzz.h"
+#include "testkit/nets.h"
 #include "util/binary_io.h"
 #include "util/rng.h"
 
@@ -239,8 +240,8 @@ TEST(OcclusionAttention, AgreesWithGradientOnCoarsePrediction) {
   const nn::LandBatch batch = data::encode_sample(
       sample.features, p.feature_space(), p.diagnet().normalizer(),
       p.split().test.landmark_available);
-  const auto grad = core::compute_attention(p.diagnet().general_net(), batch,
-                                            p.feature_space());
+  const auto grad = testkit::attention(p.diagnet().general_net(), batch,
+                                       p.feature_space()).front();
   const auto occl = core::compute_occlusion_attention(
       p.diagnet().general_net(), batch, p.feature_space());
   EXPECT_EQ(grad.coarse_argmax, occl.coarse_argmax);

@@ -11,6 +11,7 @@
 #include "nn/quantized.h"
 #include "tensor/ops.h"
 #include "tests/test_helpers.h"
+#include "testkit/nets.h"
 #include "util/rng.h"
 
 namespace diagnet::nn {
@@ -142,10 +143,10 @@ TEST(Quantized, CoarseNetQuantizedForwardStaysClose) {
   CoarseNet net(tiny_config(), rng);
   const LandBatch batch = tiny_batch(4, 6, 11);
 
-  const Matrix fp = net.forward(batch);
+  const Matrix fp = testkit::logits(net, batch);
   net.set_quantized(true);
   EXPECT_TRUE(net.quantized());
-  const Matrix quant = net.forward(batch);
+  const Matrix quant = testkit::logits(net, batch);
   ASSERT_EQ(quant.rows(), fp.rows());
   ASSERT_EQ(quant.cols(), fp.cols());
   // Per-channel int8 over narrow layers: logits stay close in absolute
@@ -158,8 +159,8 @@ TEST(Quantized, CoarseNetQuantizedForwardStaysClose) {
   // Disabling restores the (snapped) fp path exactly and reproducibly.
   net.set_quantized(false);
   EXPECT_FALSE(net.quantized());
-  const Matrix snapped1 = net.forward(batch);
-  const Matrix snapped2 = net.forward(batch);
+  const Matrix snapped1 = testkit::logits(net, batch);
+  const Matrix snapped2 = testkit::logits(net, batch);
   for (std::size_t i = 0; i < fp.rows(); ++i)
     for (std::size_t j = 0; j < fp.cols(); ++j)
       EXPECT_EQ(snapped1(i, j), snapped2(i, j));
