@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -182,10 +183,18 @@ util::Status DiagNetModel::validate(const DiagnoseRequest& request) const {
                    [](bool available) { return available; }))
     return util::Status::invalid_argument(
         "landmark mask has no available landmark");
-  for (std::size_t j = 0; j < request.features.size(); ++j)
+  for (std::size_t j = 0; j < request.features.size(); ++j) {
     if (!std::isfinite(request.features[j]))
       return util::Status::invalid_argument(
           "feature " + std::to_string(j) + " is not a finite number");
+    // The network computes in fp32: a normalised value past float's range
+    // would enter it as inf.
+    if (!(std::abs(normalizer_.apply_one(j, request.features[j])) <=
+          std::numeric_limits<float>::max()))
+      return util::Status::invalid_argument(
+          "feature " + std::to_string(j) +
+          " normalises outside the float range of the network");
+  }
   return {};
 }
 

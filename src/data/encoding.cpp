@@ -4,34 +4,48 @@
 
 namespace diagnet::data {
 
+namespace {
+
+/// Row i of (land, mask, local) from one sample's normalised features `z`:
+/// landmark-major land features, zero-filled where `available` marks the
+/// landmark absent.
+void encode_row(const std::vector<double>& z, const FeatureSpace& fs,
+                const std::vector<bool>& available, std::size_t i,
+                tensor::Matrix& land, tensor::Matrix& mask,
+                tensor::Matrix& local) {
+  const std::size_t k = fs.metrics_per_landmark();
+  for (std::size_t lam = 0; lam < fs.landmark_count(); ++lam) {
+    mask(i, lam) = available[lam] ? 1.0f : 0.0f;
+    for (std::size_t metric = 0; metric < k; ++metric) {
+      const std::size_t j =
+          fs.landmark_feature(lam, static_cast<Metric>(metric));
+      land(i, lam * k + metric) =
+          available[lam] ? static_cast<float>(z[j]) : 0.0f;
+    }
+  }
+  for (std::size_t t = 0; t < fs.local_count(); ++t)
+    local(i, t) = static_cast<float>(
+        z[fs.local_feature(static_cast<LocalFeature>(t))]);
+}
+
+}  // namespace
+
 nn::CoarseDataset encode_coarse(const Dataset& dataset,
                                 const FeatureSpace& fs,
                                 const Normalizer& normalizer) {
   const std::size_t n = dataset.size();
   const std::size_t L = fs.landmark_count();
-  const std::size_t k = fs.metrics_per_landmark();
   DIAGNET_REQUIRE(dataset.landmark_available.size() == L);
 
   nn::CoarseDataset out;
-  out.land = tensor::Matrix(n, L * k);
+  out.land = tensor::Matrix(n, L * fs.metrics_per_landmark());
   out.mask = tensor::Matrix(n, L);
   out.local = tensor::Matrix(n, fs.local_count());
   out.labels.resize(n);
-
   for (std::size_t i = 0; i < n; ++i) {
     const Sample& sample = dataset.samples[i];
-    const std::vector<double> z = normalizer.apply(sample.features);
-    for (std::size_t lam = 0; lam < L; ++lam) {
-      const bool avail = dataset.landmark_available[lam];
-      out.mask(i, lam) = avail ? 1.0 : 0.0;
-      for (std::size_t metric = 0; metric < k; ++metric) {
-        const std::size_t j =
-            fs.landmark_feature(lam, static_cast<Metric>(metric));
-        out.land(i, lam * k + metric) = avail ? z[j] : 0.0;
-      }
-    }
-    for (std::size_t t = 0; t < fs.local_count(); ++t)
-      out.local(i, t) = z[fs.local_feature(static_cast<LocalFeature>(t))];
+    encode_row(normalizer.apply(sample.features), fs,
+               dataset.landmark_available, i, out.land, out.mask, out.local);
     out.labels[i] = static_cast<std::size_t>(sample.coarse_label);
   }
   return out;
@@ -41,27 +55,7 @@ nn::LandBatch encode_sample(const std::vector<double>& raw_features,
                             const FeatureSpace& fs,
                             const Normalizer& normalizer,
                             const std::vector<bool>& landmark_available) {
-  const std::size_t L = fs.landmark_count();
-  const std::size_t k = fs.metrics_per_landmark();
-  DIAGNET_REQUIRE(landmark_available.size() == L);
-
-  nn::LandBatch batch;
-  batch.land = tensor::Matrix(1, L * k);
-  batch.mask = tensor::Matrix(1, L);
-  batch.local = tensor::Matrix(1, fs.local_count());
-
-  const std::vector<double> z = normalizer.apply(raw_features);
-  for (std::size_t lam = 0; lam < L; ++lam) {
-    batch.mask(0, lam) = landmark_available[lam] ? 1.0 : 0.0;
-    for (std::size_t metric = 0; metric < k; ++metric) {
-      const std::size_t j =
-          fs.landmark_feature(lam, static_cast<Metric>(metric));
-      batch.land(0, lam * k + metric) = landmark_available[lam] ? z[j] : 0.0;
-    }
-  }
-  for (std::size_t t = 0; t < fs.local_count(); ++t)
-    batch.local(0, t) = z[fs.local_feature(static_cast<LocalFeature>(t))];
-  return batch;
+  return encode_batch({&raw_features}, fs, normalizer, landmark_available);
 }
 
 nn::LandBatch encode_batch(
@@ -70,28 +64,16 @@ nn::LandBatch encode_batch(
     const std::vector<bool>& landmark_available) {
   const std::size_t n = raw_features.size();
   const std::size_t L = fs.landmark_count();
-  const std::size_t k = fs.metrics_per_landmark();
   DIAGNET_REQUIRE(landmark_available.size() == L);
 
   nn::LandBatch batch;
-  batch.land = tensor::Matrix(n, L * k);
+  batch.land = tensor::Matrix(n, L * fs.metrics_per_landmark());
   batch.mask = tensor::Matrix(n, L);
   batch.local = tensor::Matrix(n, fs.local_count());
-
   for (std::size_t i = 0; i < n; ++i) {
     DIAGNET_REQUIRE(raw_features[i] != nullptr);
-    const std::vector<double> z = normalizer.apply(*raw_features[i]);
-    for (std::size_t lam = 0; lam < L; ++lam) {
-      batch.mask(i, lam) = landmark_available[lam] ? 1.0 : 0.0;
-      for (std::size_t metric = 0; metric < k; ++metric) {
-        const std::size_t j =
-            fs.landmark_feature(lam, static_cast<Metric>(metric));
-        batch.land(i, lam * k + metric) =
-            landmark_available[lam] ? z[j] : 0.0;
-      }
-    }
-    for (std::size_t t = 0; t < fs.local_count(); ++t)
-      batch.local(i, t) = z[fs.local_feature(static_cast<LocalFeature>(t))];
+    encode_row(normalizer.apply(*raw_features[i]), fs, landmark_available, i,
+               batch.land, batch.mask, batch.local);
   }
   return batch;
 }
@@ -116,7 +98,7 @@ std::vector<double> encode_flat_sample(const std::vector<double>& raw,
   DIAGNET_REQUIRE(available.size() == fs.total());
   std::vector<double> z = normalizer.apply(raw);
   for (std::size_t j = 0; j < z.size(); ++j)
-    if (!available[j]) z[j] = 0.0;
+    z[j] = available[j] ? static_cast<float>(z[j]) : 0.0f;
   return z;
 }
 

@@ -41,7 +41,9 @@ nn::LandBatch encode_batch(
 tensor::Matrix encode_flat(const Dataset& dataset, const FeatureSpace& fs,
                            const Normalizer& normalizer);
 
-/// One raw feature vector -> flat normalised vector (all m features).
+/// One raw feature vector -> flat normalised vector (all m features), each
+/// value rounded through float: exactly the values encode_flat stores, so
+/// the flat models score what they were fit on.
 std::vector<double> encode_flat_sample(const std::vector<double>& raw,
                                        const FeatureSpace& fs,
                                        const Normalizer& normalizer,

@@ -1,6 +1,8 @@
 #include "nn/coarse_net.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/require.h"
@@ -12,20 +14,20 @@ namespace {
 /// In-place ReLU. Gating backward on the post-activation (x > 0) is exactly
 /// equivalent to gating on the pre-activation, so no pre-ReLU copy is kept.
 void relu_inplace(Matrix& m) {
-  double* p = m.data();
+  float* p = m.data();
   const std::size_t n = m.size();
   for (std::size_t i = 0; i < n; ++i)
-    if (p[i] < 0.0) p[i] = 0.0;
+    if (p[i] < 0.0f) p[i] = 0.0f;
 }
 
 /// Zero grad entries whose post-activation is <= 0 (the ReLU gate).
 void relu_gate_inplace(const Matrix& post, Matrix& grad) {
   DIAGNET_REQUIRE(post.same_shape(grad));
-  const double* a = post.data();
-  double* g = grad.data();
+  const float* a = post.data();
+  float* g = grad.data();
   const std::size_t n = grad.size();
   for (std::size_t i = 0; i < n; ++i)
-    if (a[i] <= 0.0) g[i] = 0.0;
+    if (a[i] <= 0.0f) g[i] = 0.0f;
 }
 
 }  // namespace
@@ -69,7 +71,7 @@ const Matrix& CoarseNet::forward_fc(const Matrix& pooled, const Matrix& local,
 
   ws.concat.resize(pooled.rows(), local_offset_ + config_.local_features);
   for (std::size_t r = 0; r < ws.concat.rows(); ++r) {
-    double* row = ws.concat.row_ptr(r);
+    float* row = ws.concat.row_ptr(r);
     std::copy(pooled.row_ptr(r), pooled.row_ptr(r) + pooled.cols(), row);
     std::copy(local.row_ptr(r), local.row_ptr(r) + local.cols(),
               row + local_offset_);
@@ -110,7 +112,7 @@ void CoarseNet::backward(const Matrix& grad_logits,
   // features are network inputs whose gradient training never uses.
   ws.grad_pooled.resize(ws.grad_a.rows(), local_offset_);
   for (std::size_t r = 0; r < ws.grad_a.rows(); ++r) {
-    const double* row = ws.grad_a.row_ptr(r);
+    const float* row = ws.grad_a.row_ptr(r);
     std::copy(row, row + local_offset_, ws.grad_pooled.row_ptr(r));
   }
   pool_.backward_params(ws.grad_pooled, ws.pool, ws.param_grads[0],
@@ -132,7 +134,7 @@ void CoarseNet::backward_inputs(const Matrix& grad_logits,
   ws.grad_pooled.resize(rows, local_offset_);
   ws.grad_local.resize(rows, config_.local_features);
   for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = ws.grad_a.row_ptr(r);
+    const float* row = ws.grad_a.row_ptr(r);
     std::copy(row, row + local_offset_, ws.grad_pooled.row_ptr(r));
     std::copy(row + local_offset_, row + local_offset_ + config_.local_features,
               ws.grad_local.row_ptr(r));
@@ -193,8 +195,8 @@ std::unique_ptr<CoarseNet> CoarseNet::clone() const {
 std::vector<double> CoarseNet::save_parameters() const {
   std::vector<double> flat;
   for (Parameter* p : const_cast<CoarseNet*>(this)->parameters()) {
-    const double* d = p->value.data();
-    flat.insert(flat.end(), d, d + p->value.size());
+    const float* d = p->value.data();
+    flat.insert(flat.end(), d, d + p->value.size());  // widening is exact
   }
   return flat;
 }
@@ -204,8 +206,15 @@ void CoarseNet::load_parameters(const std::vector<double>& flat) {
   for (Parameter* p : parameters()) {
     DIAGNET_REQUIRE_MSG(off + p->value.size() <= flat.size(),
                         "parameter blob too short");
-    double* d = p->value.data();
-    for (std::size_t i = 0; i < p->value.size(); ++i) d[i] = flat[off + i];
+    float* d = p->value.data();
+    for (std::size_t i = 0; i < p->value.size(); ++i) {
+      const double v = flat[off + i];
+      // Narrowing a finite double past float's range is undefined.
+      DIAGNET_REQUIRE_MSG(!std::isfinite(v) ||
+                              std::abs(v) <= std::numeric_limits<float>::max(),
+                          "parameter outside the float range");
+      d[i] = static_cast<float>(v);
+    }
     off += p->value.size();
   }
   DIAGNET_REQUIRE_MSG(off == flat.size(), "parameter blob too long");

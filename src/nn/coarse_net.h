@@ -50,7 +50,7 @@ struct CoarseWorkspace {
 
   /// Zero the parameter-gradient accumulators (start of every step).
   void zero_param_grads() {
-    for (Matrix& g : param_grads) g.fill(0.0);
+    for (Matrix& g : param_grads) g.fill(0.0f);
   }
 };
 
@@ -100,7 +100,7 @@ class CoarseNet {
   /// the service-specialisation split of paper §IV-F.
   void freeze_representation(bool frozen = true);
 
-  /// Int8 inference for the FC stack (the LandPooling kernel stays fp64 —
+  /// Int8 inference for the FC stack (the LandPooling kernel stays fp32 —
   /// see nn/quantized.h). Enabling snaps the fp weights onto the int8 grid
   /// so gradient attention differentiates the served function.
   void set_quantized(bool on);
@@ -119,7 +119,9 @@ class CoarseNet {
   /// the general model and to rebuild them on load.
   std::unique_ptr<CoarseNet> clone() const;
 
-  /// Flat parameter (de)serialisation, ordered deterministically.
+  /// Flat parameter (de)serialisation, ordered deterministically. Saving
+  /// widens each fp32 parameter to double exactly; loading narrows with
+  /// round-to-nearest, so blobs written from fp64 parameters still load.
   std::vector<double> save_parameters() const;
   void load_parameters(const std::vector<double>& flat);
 

@@ -8,7 +8,9 @@
 // Because every pooling operator is invariant to landmark order and accepts
 // any number of arguments, the output dimension is independent of how many
 // landmarks were probed — the property that makes DiagNet root-cause
-// extensible (new landmarks can be fed to a trained model).
+// extensible (new landmarks can be fed to a trained model). Every operator
+// reduces the *sorted* available values, so the output is bit-identical —
+// not just mathematically equal — under any numbering of the landmarks.
 //
 // The backward pass is exact for all operators, including the interpolated
 // deciles (gradient routed to the two order statistics that define the
@@ -59,10 +61,11 @@ class LandPooling {
     const Matrix* mask = nullptr;
     std::size_t batch = 0;
     std::size_t landmarks = 0;
-    std::vector<double> conv;   // (B, L, f) F[λ] values, 0 where unavailable
-    std::vector<double> dconv;  // routed pooled gradients, same layout
+    std::vector<float> conv;   // (B, L, f) F[λ] values, 0 where unavailable
+    std::vector<float> dconv;  // routed pooled gradients, same layout
     // sort/routing scratch
-    std::vector<double> values;
+    std::vector<float> values;
+    std::vector<float> sorted;
     std::vector<std::size_t> order;
     std::vector<std::size_t> slot_lam;
   };
@@ -117,11 +120,10 @@ class LandPooling {
   /// Convolution stage: F[λ] = K·x[λ] + b for every available landmark,
   /// into `conv` (resized/zeroed here).
   void compute_conv(const Matrix& land, const Matrix& mask,
-                    std::vector<double>& conv) const;
-  /// Pooling stage: the operator bank over `conv`, into `out`.
-  void pool_from_conv(const Matrix& mask, const std::vector<double>& conv,
-                      Matrix& out, std::vector<double>& values,
-                      std::vector<std::size_t>& order) const;
+                    std::vector<float>& conv) const;
+  /// Pooling stage: the operator bank over ctx.conv, into `out`; ctx's
+  /// sort scratch is reused.
+  void pool_from_conv(const Matrix& mask, PoolContext& ctx, Matrix& out) const;
   /// Stage 1 of both backward passes: route pooled gradients to the
   /// per-(sample, landmark, filter) dF, into ctx.dconv (resized/zeroed).
   void route_grads(const Matrix& grad_pooled, PoolContext& ctx) const;

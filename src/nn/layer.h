@@ -24,7 +24,7 @@ struct Parameter {
   bool frozen = false;
 
   explicit Parameter(Matrix v) : value(std::move(v)), grad(value.rows(), value.cols()) {}
-  void zero_grad() { grad.fill(0.0); }
+  void zero_grad() { grad.fill(0.0f); }
 };
 
 }  // namespace diagnet::nn

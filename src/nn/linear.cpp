@@ -14,7 +14,7 @@ Linear::Linear(std::size_t in, std::size_t out, util::Rng& rng)
   const double limit = std::sqrt(6.0 / static_cast<double>(in));
   for (std::size_t r = 0; r < in; ++r)
     for (std::size_t c = 0; c < out; ++c)
-      weight_.value(r, c) = rng.uniform(-limit, limit);
+      weight_.value(r, c) = static_cast<float>(rng.uniform(-limit, limit));
   // Bias stays zero-initialised.
 }
 

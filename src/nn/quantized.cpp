@@ -16,13 +16,12 @@ QuantizedLinear quantize_weights(const tensor::Matrix& weight) {
   q.weights.resize(q.in * q.out);
   q.scales.resize(q.out);
   for (std::size_t j = 0; j < q.out; ++j) {
-    double absmax = 0.0;
+    float absmax = 0.0f;
     for (std::size_t i = 0; i < q.in; ++i)
       absmax = std::max(absmax, std::fabs(weight(i, j)));
-    const float scale =
-        absmax > 0.0 ? static_cast<float>(absmax / 127.0) : 1.0f;
+    const float scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
     q.scales[j] = scale;
-    const double inv = 1.0 / static_cast<double>(scale);
+    const float inv = 1.0f / scale;
     for (std::size_t i = 0; i < q.in; ++i) {
       const long r = std::lrint(weight(i, j) * inv);
       q.weights[i * q.out + j] =
@@ -36,8 +35,7 @@ void snap_to_grid(const QuantizedLinear& q, tensor::Matrix& weight) {
   DIAGNET_REQUIRE(weight.rows() == q.in && weight.cols() == q.out);
   for (std::size_t i = 0; i < q.in; ++i)
     for (std::size_t j = 0; j < q.out; ++j)
-      weight(i, j) = static_cast<double>(q.weights[i * q.out + j]) *
-                           static_cast<double>(q.scales[j]);
+      weight(i, j) = static_cast<float>(q.weights[i * q.out + j]) * q.scales[j];
 }
 
 void quantized_forward(const QuantizedLinear& q, const tensor::Matrix& input,
@@ -55,21 +53,18 @@ void quantized_forward(const QuantizedLinear& q, const tensor::Matrix& input,
   qx.resize(q.in);
   acc.resize(q.out);
   for (std::size_t r = 0; r < rows; ++r) {
-    const double* x = input.row_ptr(r);
-    const double absmax = K.reduce_absmax(x, q.in);
+    const float* x = input.row_ptr(r);
+    const float absmax = K.reduce_absmax(x, q.in);
     // absmax == 0 => the row is all zeros; any scale maps it to all-zero
     // codes, so 1 is as good (and as safe) as any.
-    const float sx =
-        absmax > 0.0 ? static_cast<float>(absmax / 127.0) : 1.0f;
-    K.quantize_row(x, 1.0 / static_cast<double>(sx), qx.data(), q.in);
+    const float sx = absmax > 0.0f ? absmax / 127.0f : 1.0f;
+    K.quantize_row(x, 1.0f / sx, qx.data(), q.in);
     std::fill(acc.begin(), acc.end(), 0);
     K.qgemv(qx.data(), q.weights.data(), q.in, q.out, acc.data());
-    double* y = out.row_ptr(r);
-    const double* b = bias.data();
+    float* y = out.row_ptr(r);
+    const float* b = bias.data();
     for (std::size_t j = 0; j < q.out; ++j)
-      y[j] = static_cast<double>(sx * q.scales[j]) *
-                 static_cast<double>(acc[j]) +
-             b[j];
+      y[j] = sx * q.scales[j] * static_cast<float>(acc[j]) + b[j];
   }
 }
 

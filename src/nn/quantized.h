@@ -18,7 +18,7 @@
 //
 // The LandPooling kernel is NOT quantized: it is the frozen shared
 // representation (paper §III), it is tiny next to the FC stack, and
-// keeping it fp64 lets specialized heads share pooling work bit-exactly.
+// keeping it fp32 lets specialized heads share pooling work bit-exactly.
 #pragma once
 
 #include <cstdint>

@@ -15,9 +15,9 @@ SgdOptimizer::SgdOptimizer(std::vector<Parameter*> params,
 }
 
 void SgdOptimizer::step() {
-  const double lr = config_.learning_rate;
-  const double mu = config_.momentum;
-  const double wd = config_.weight_decay;
+  const auto lr = static_cast<float>(config_.learning_rate);
+  const auto mu = static_cast<float>(config_.momentum);
+  const auto wd = static_cast<float>(config_.weight_decay);
   for (std::size_t idx = 0; idx < params_.size(); ++idx) {
     Parameter* p = params_[idx];
     if (p->frozen) {
@@ -25,12 +25,12 @@ void SgdOptimizer::step() {
       continue;
     }
     Matrix& v = velocity_[idx];
-    double* vd = v.data();
-    double* wdta = p->value.data();
-    double* gd = p->grad.data();
+    float* vd = v.data();
+    float* wdta = p->value.data();
+    float* gd = p->grad.data();
     const std::size_t n = p->value.size();
     for (std::size_t i = 0; i < n; ++i) {
-      const double g = gd[i] + wd * wdta[i];  // decoupled L2 -> coupled form
+      const float g = gd[i] + wd * wdta[i];  // decoupled L2 -> coupled form
       vd[i] = mu * vd[i] - lr * g;
       // Nesterov look-ahead: w += mu*v - lr*g; plain momentum: w += v.
       wdta[i] += config_.nesterov ? (mu * vd[i] - lr * g) : vd[i];

@@ -1,6 +1,5 @@
 #include "nn/softmax.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "tensor/kernels.h"
@@ -15,9 +14,9 @@ Matrix softmax(const Matrix& logits) {
   // exponentials stays sequential on purpose).
   const tensor::detail::Kernels& K = tensor::detail::active_kernels();
   for (std::size_t r = 0; r < out.rows(); ++r) {
-    double* row = out.row_ptr(r);
-    const double mx = K.reduce_max(row, out.cols());
-    double sum = 0.0;
+    float* row = out.row_ptr(r);
+    const float mx = K.reduce_max(row, out.cols());
+    float sum = 0.0f;
     for (std::size_t c = 0; c < out.cols(); ++c) {
       row[c] = std::exp(row[c] - mx);
       sum += row[c];
@@ -31,21 +30,10 @@ double softmax_cross_entropy(const Matrix& logits,
                              const std::vector<std::size_t>& labels,
                              Matrix* grad) {
   DIAGNET_REQUIRE(labels.size() == logits.rows());
-  const Matrix probs = softmax(logits);
   const double inv_b = 1.0 / static_cast<double>(logits.rows());
-  double loss = 0.0;
-  if (grad) *grad = probs;
-  for (std::size_t r = 0; r < logits.rows(); ++r) {
-    DIAGNET_REQUIRE(labels[r] < logits.cols());
-    // Clamp avoids -inf on (pathological) zero probability.
-    loss -= std::log(std::max(probs(r, labels[r]), 1e-300));
-    if (grad) {
-      (*grad)(r, labels[r]) -= 1.0;
-      double* row = grad->row_ptr(r);
-      for (std::size_t c = 0; c < grad->cols(); ++c) row[c] *= inv_b;
-    }
-  }
-  return loss * inv_b;
+  return softmax_cross_entropy_sum(logits, labels.data(), labels.size(), grad,
+                                   inv_b) *
+         inv_b;
 }
 
 double softmax_cross_entropy_sum(const Matrix& logits,
@@ -54,35 +42,33 @@ double softmax_cross_entropy_sum(const Matrix& logits,
   DIAGNET_REQUIRE(n == logits.rows());
   if (grad) grad->resize(logits.rows(), logits.cols());
   const std::size_t c = logits.cols();
+  const auto scale = static_cast<float>(grad_scale);
   const tensor::detail::Kernels& K = tensor::detail::active_kernels();
   double loss = 0.0;
   for (std::size_t r = 0; r < n; ++r) {
     DIAGNET_REQUIRE(labels[r] < c);
-    const double* in = logits.row_ptr(r);
-    const double mx = K.reduce_max(in, c);
+    const float* in = logits.row_ptr(r);
+    const float mx = K.reduce_max(in, c);
     // One pass computes the exponentials (into the grad row when wanted)
     // and their sum; no per-row heap temporary.
-    double sum = 0.0;
+    float sum = 0.0f;
     if (grad) {
-      double* out = grad->row_ptr(r);
+      float* out = grad->row_ptr(r);
       for (std::size_t j = 0; j < c; ++j) {
         out[j] = std::exp(in[j] - mx);
         sum += out[j];
       }
-      const double inv = 1.0 / sum;
-      loss -= std::log(std::max(out[labels[r]] * inv, 1e-300));
+      const float inv = 1.0f / sum;
       for (std::size_t j = 0; j < c; ++j) out[j] *= inv;
-      out[labels[r]] -= 1.0;
-      for (std::size_t j = 0; j < c; ++j) out[j] *= grad_scale;
+      out[labels[r]] -= 1.0f;
+      for (std::size_t j = 0; j < c; ++j) out[j] *= scale;
     } else {
-      double p_label = 0.0;
-      for (std::size_t j = 0; j < c; ++j) {
-        const double e = std::exp(in[j] - mx);
-        sum += e;
-        if (j == labels[r]) p_label = e;
-      }
-      loss -= std::log(std::max(p_label / sum, 1e-300));
+      for (std::size_t j = 0; j < c; ++j) sum += std::exp(in[j] - mx);
     }
+    // -log softmax(x)[label] = log(sum) - (x[label] - max), in double: it
+    // stays accurate where the label's fp32 probability would underflow.
+    loss += std::log(static_cast<double>(sum)) -
+            (static_cast<double>(in[labels[r]]) - mx);
   }
   return loss;
 }
@@ -93,7 +79,7 @@ Matrix ideal_label_grads(const Matrix& logits,
   Matrix g = softmax(logits);
   for (std::size_t r = 0; r < g.rows(); ++r) {
     DIAGNET_REQUIRE(targets[r] < g.cols());
-    g(r, targets[r]) -= 1.0;
+    g(r, targets[r]) -= 1.0f;
   }
   return g;
 }

@@ -123,7 +123,7 @@ class ShardEngine {
       pool_.parallel_for(params.size(), [&](std::size_t p) {
         Matrix& g = params[p]->grad;
         for (std::size_t s = 0; s < count; ++s)
-          tensor::axpy(1.0, shards_[s].ws.param_grads[p], g);
+          tensor::axpy(1.0f, shards_[s].ws.param_grads[p], g);
       });
     }
     double loss = 0.0;
@@ -199,16 +199,17 @@ PoolChoice choose_pool(std::size_t threads) {
 /// invariant.
 void clip_gradients(const std::vector<Parameter*>& params, double clip) {
   if (clip <= 0.0) return;
-  double sq = 0.0;
+  double sq = 0.0;  // a double sum over every squared fp32 gradient
   for (const Parameter* p : params) {
-    const double* g = p->grad.data();
-    for (std::size_t i = 0; i < p->grad.size(); ++i) sq += g[i] * g[i];
+    const float* g = p->grad.data();
+    for (std::size_t i = 0; i < p->grad.size(); ++i)
+      sq += static_cast<double>(g[i]) * g[i];
   }
   const double norm = std::sqrt(sq);
   if (!(norm > clip)) return;  // also skips NaN norms: nothing to rescue
-  const double scale = clip / norm;
+  const auto scale = static_cast<float>(clip / norm);
   for (Parameter* p : params) {
-    double* g = p->grad.data();
+    float* g = p->grad.data();
     for (std::size_t i = 0; i < p->grad.size(); ++i) g[i] *= scale;
   }
 }

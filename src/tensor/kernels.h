@@ -1,5 +1,5 @@
 // The microkernel table behind tensor::dispatch. Each tier fills one
-// `Kernels` struct with raw-pointer primitives; ops.cpp (GEMM/GEMV/
+// `Kernels` struct with raw-pointer fp32 primitives; ops.cpp (GEMM/GEMV/
 // reductions), nn::LandPooling and nn::softmax call through the active
 // table. The indirection sits at the row-block / fused-group level, never
 // inside an innermost loop, so the function-pointer cost is amortised over
@@ -14,7 +14,8 @@
 //    input always yields the same bits on the same tier.
 //  * The block entries (gemm_acc, gemm_bt) may tile, pack and reorder their
 //    loops freely, but never an element's reduction: gemm_acc reproduces
-//    the row-at-a-time axpy groups and gemm_bt reproduces dot, bit for bit.
+//    the row-at-a-time axpy groups (one ascending-k chain per element, the
+//    chain gemv builds) and gemm_bt reproduces dot, bit for bit.
 // Integer kernels (quantize_row, qgemv) are exact and therefore produce
 // identical results on every tier.
 #pragma once
@@ -28,16 +29,16 @@ struct Kernels {
   const char* name;
 
   /// c[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-  void (*axpy4)(double* c, const double* b0, const double* b1,
-                const double* b2, const double* b3, double a0, double a1,
-                double a2, double a3, std::size_t n);
+  void (*axpy4)(float* c, const float* b0, const float* b1, const float* b2,
+                const float* b3, float a0, float a1, float a2, float a3,
+                std::size_t n);
   /// c[j] += alpha * b[j]
-  void (*axpy1)(double* c, const double* b, double alpha, std::size_t n);
+  void (*axpy1)(float* c, const float* b, float alpha, std::size_t n);
   /// c[j] += sum_k a[k] * b[k*ldb + j] — the single-row product. Each tier
   /// must produce the same bits here as its own axpy4/axpy1 groups would
   /// (ascending k), so a 1-row GEMM can take this fast path and still match
   /// the row it would have been inside a batch.
-  void (*gemv)(double* c, const double* a, const double* b, std::size_t k,
+  void (*gemv)(float* c, const float* a, const float* b, std::size_t k,
                std::size_t n, std::size_t ldb);
   /// c[i*ldc + j] += sum_kk A(i, kk) * b[kk*ldb + j] for i < m, j < n,
   /// where A(i, kk) = a[i*a_rs + kk*a_ks] (so one entry serves both A·B
@@ -45,31 +46,31 @@ struct Kernels {
   /// axpy4/axpy1 groups over ascending k, applied to its row with C's
   /// current value as the start: a row computed inside a block equals the
   /// same row computed by gemv, whatever the block's height.
-  void (*gemm_acc)(double* c, std::size_t ldc, const double* a,
-                   std::size_t a_rs, std::size_t a_ks, const double* b,
+  void (*gemm_acc)(float* c, std::size_t ldc, const float* a,
+                   std::size_t a_rs, std::size_t a_ks, const float* b,
                    std::size_t ldb, std::size_t m, std::size_t k,
                    std::size_t n);
   /// sum_j a[j] * b[j]
-  double (*dot)(const double* a, const double* b, std::size_t n);
+  float (*dot)(const float* a, const float* b, std::size_t n);
   /// c[i*ldc + j] = dot(a + i*lda, b + j*ldb, k) for i < m, j < n. Every
   /// element must get exactly the bits of this tier's own dot.
-  void (*gemm_bt)(double* c, std::size_t ldc, const double* a,
-                  std::size_t lda, const double* b, std::size_t ldb,
+  void (*gemm_bt)(float* c, std::size_t ldc, const float* a,
+                  std::size_t lda, const float* b, std::size_t ldb,
                   std::size_t m, std::size_t k, std::size_t n);
   /// sum_j v[j]
-  double (*reduce_sum)(const double* v, std::size_t n);
+  float (*reduce_sum)(const float* v, std::size_t n);
   /// sum_j (v[j] - mean)^2
-  double (*reduce_sq_dev)(const double* v, std::size_t n, double mean);
+  float (*reduce_sq_dev)(const float* v, std::size_t n, float mean);
   /// max_j v[j]; -inf when n == 0
-  double (*reduce_max)(const double* v, std::size_t n);
+  float (*reduce_max)(const float* v, std::size_t n);
   /// max_j |v[j]|; 0 when n == 0
-  double (*reduce_absmax)(const double* v, std::size_t n);
+  float (*reduce_absmax)(const float* v, std::size_t n);
   /// v[j] /= denom
-  void (*scale_div)(double* v, double denom, std::size_t n);
+  void (*scale_div)(float* v, float denom, std::size_t n);
 
   // ---- int8 quantized path (exact integer math, tier-invariant) ----
   /// q[j] = clamp(round(x[j] * inv_scale), -127, 127)
-  void (*quantize_row)(const double* x, double inv_scale, std::int8_t* q,
+  void (*quantize_row)(const float* x, float inv_scale, std::int8_t* q,
                        std::size_t n);
   /// acc[j] += sum_i qx[i] * w[i*out + j]   (acc is caller-zeroed int32)
   void (*qgemv)(const std::int8_t* qx, const std::int8_t* w,
@@ -87,10 +88,10 @@ const Kernels* avx2_kernels();
 /// The table selected by tensor::dispatch (cheap relaxed atomic load).
 const Kernels& active_kernels();
 
-/// Scalar quantize_row, shared verbatim by every tier: double→int8
+/// Scalar quantize_row, shared verbatim by every tier: float→int8
 /// rounding must be tier-invariant so a quantized model scores the same
 /// bits whichever tier served it.
-void kernel_quantize_row(const double* x, double inv_scale, std::int8_t* q,
+void kernel_quantize_row(const float* x, float inv_scale, std::int8_t* q,
                          std::size_t n);
 
 }  // namespace diagnet::tensor::detail

@@ -13,15 +13,15 @@ namespace diagnet::tensor::detail {
 
 namespace {
 
-void scalar_axpy4(double* c, const double* b0, const double* b1,
-                  const double* b2, const double* b3, double a0, double a1,
-                  double a2, double a3, std::size_t n) {
+void scalar_axpy4(float* c, const float* b0, const float* b1,
+                  const float* b2, const float* b3, float a0, float a1,
+                  float a2, float a3, std::size_t n) {
 #pragma omp simd
   for (std::size_t j = 0; j < n; ++j)
     c[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
 }
 
-void scalar_axpy1(double* c, const double* b, double alpha, std::size_t n) {
+void scalar_axpy1(float* c, const float* b, float alpha, std::size_t n) {
 #pragma omp simd
   for (std::size_t j = 0; j < n; ++j) c[j] += alpha * b[j];
 }
@@ -32,14 +32,14 @@ void scalar_axpy1(double* c, const double* b, double alpha, std::size_t n) {
 // sees its groups in ascending k, and gemv is the 1-row case of the same
 // loop, so scalar gemv == scalar gemm on a 1-row operand bit-for-bit
 // whatever the compiler does to either.
-void scalar_gemm_acc(double* c, std::size_t ldc, const double* a,
-                     std::size_t a_rs, std::size_t a_ks, const double* b,
+void scalar_gemm_acc(float* c, std::size_t ldc, const float* a,
+                     std::size_t a_rs, std::size_t a_ks, const float* b,
                      std::size_t ldb, std::size_t m, std::size_t k,
                      std::size_t n) {
   std::size_t kk = 0;
   for (; kk + 4 <= k; kk += 4)
     for (std::size_t i = 0; i < m; ++i) {
-      const double* ai = a + i * a_rs;
+      const float* ai = a + i * a_rs;
       scalar_axpy4(c + i * ldc, b + kk * ldb, b + (kk + 1) * ldb,
                    b + (kk + 2) * ldb, b + (kk + 3) * ldb, ai[kk * a_ks],
                    ai[(kk + 1) * a_ks], ai[(kk + 2) * a_ks],
@@ -50,59 +50,59 @@ void scalar_gemm_acc(double* c, std::size_t ldc, const double* a,
       scalar_axpy1(c + i * ldc, b + kk * ldb, a[i * a_rs + kk * a_ks], n);
 }
 
-void scalar_gemv(double* c, const double* a, const double* b, std::size_t k,
+void scalar_gemv(float* c, const float* a, const float* b, std::size_t k,
                  std::size_t n, std::size_t ldb) {
   scalar_gemm_acc(c, n, a, 0, 1, b, ldb, 1, k, n);
 }
 
 // Kept out of line: the simd reduction's lane split is the compiler's
 // choice, so gemm_bt must call this very body to match dot bit-for-bit.
-[[gnu::noinline]] double scalar_dot(const double* a, const double* b,
+[[gnu::noinline]] float scalar_dot(const float* a, const float* b,
                                     std::size_t n) {
-  double s = 0.0;
+  float s = 0.0f;
 #pragma omp simd reduction(+ : s)
   for (std::size_t j = 0; j < n; ++j) s += a[j] * b[j];
   return s;
 }
 
-void scalar_gemm_bt(double* c, std::size_t ldc, const double* a,
-                    std::size_t lda, const double* b, std::size_t ldb,
+void scalar_gemm_bt(float* c, std::size_t ldc, const float* a,
+                    std::size_t lda, const float* b, std::size_t ldb,
                     std::size_t m, std::size_t k, std::size_t n) {
   for (std::size_t i = 0; i < m; ++i)
     for (std::size_t j = 0; j < n; ++j)
       c[i * ldc + j] = scalar_dot(a + i * lda, b + j * ldb, k);
 }
 
-double scalar_reduce_sum(const double* v, std::size_t n) {
-  double s = 0.0;
+float scalar_reduce_sum(const float* v, std::size_t n) {
+  float s = 0.0f;
 #pragma omp simd reduction(+ : s)
   for (std::size_t j = 0; j < n; ++j) s += v[j];
   return s;
 }
 
-double scalar_reduce_sq_dev(const double* v, std::size_t n, double mean) {
-  double s = 0.0;
+float scalar_reduce_sq_dev(const float* v, std::size_t n, float mean) {
+  float s = 0.0f;
 #pragma omp simd reduction(+ : s)
   for (std::size_t j = 0; j < n; ++j) {
-    const double d = v[j] - mean;
+    const float d = v[j] - mean;
     s += d * d;
   }
   return s;
 }
 
-double scalar_reduce_max(const double* v, std::size_t n) {
-  double m = -std::numeric_limits<double>::infinity();
+float scalar_reduce_max(const float* v, std::size_t n) {
+  float m = -std::numeric_limits<float>::infinity();
   for (std::size_t j = 0; j < n; ++j) m = std::max(m, v[j]);
   return m;
 }
 
-double scalar_reduce_absmax(const double* v, std::size_t n) {
-  double m = 0.0;
+float scalar_reduce_absmax(const float* v, std::size_t n) {
+  float m = 0.0f;
   for (std::size_t j = 0; j < n; ++j) m = std::max(m, std::fabs(v[j]));
   return m;
 }
 
-void scalar_scale_div(double* v, double denom, std::size_t n) {
+void scalar_scale_div(float* v, float denom, std::size_t n) {
 #pragma omp simd
   for (std::size_t j = 0; j < n; ++j) v[j] /= denom;
 }
@@ -112,7 +112,7 @@ void scalar_scale_div(double* v, double denom, std::size_t n) {
 // Shared by both tiers: round-to-nearest-even (the IEEE default mode that
 // both std::lrint and AVX2's vroundpd use), clamped to the symmetric int8
 // range so -128 never appears and negation stays safe.
-void kernel_quantize_row(const double* x, double inv_scale, std::int8_t* q,
+void kernel_quantize_row(const float* x, float inv_scale, std::int8_t* q,
                          std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
     const long r = std::lrint(x[j] * inv_scale);

@@ -5,12 +5,12 @@
 namespace diagnet::tensor {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+    : rows_(rows), cols_(cols), data_(rows * cols, 0.0f) {}
 
-Matrix::Matrix(std::size_t rows, std::size_t cols, double value)
+Matrix::Matrix(std::size_t rows, std::size_t cols, float value)
     : rows_(rows), cols_(cols), data_(rows * cols, value) {}
 
-Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
+Matrix::Matrix(std::initializer_list<std::initializer_list<float>> init) {
   rows_ = init.size();
   cols_ = rows_ == 0 ? 0 : init.begin()->size();
   data_.reserve(rows_ * cols_);
@@ -26,16 +26,17 @@ Matrix Matrix::zeros(std::size_t rows, std::size_t cols) {
 
 Matrix Matrix::row(const std::vector<double>& v) {
   Matrix m(1, v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) m(0, i) = v[i];
+  for (std::size_t i = 0; i < v.size(); ++i)
+    m(0, i) = static_cast<float>(v[i]);
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
+float& Matrix::operator()(std::size_t r, std::size_t c) {
   DIAGNET_REQUIRE(r < rows_ && c < cols_);
   return data_[r * cols_ + c];
 }
 
-double Matrix::operator()(std::size_t r, std::size_t c) const {
+float Matrix::operator()(std::size_t r, std::size_t c) const {
   DIAGNET_REQUIRE(r < rows_ && c < cols_);
   return data_[r * cols_ + c];
 }
@@ -50,7 +51,7 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
 
 void Matrix::resize_zero(std::size_t rows, std::size_t cols) {
   resize(rows, cols);
-  fill(0.0);
+  fill(0.0f);
 }
 
 void Matrix::assign(const Matrix& other) {
@@ -59,7 +60,7 @@ void Matrix::assign(const Matrix& other) {
   data_.assign(other.data_.begin(), other.data_.end());
 }
 
-void Matrix::fill(double value) {
+void Matrix::fill(float value) {
   for (auto& x : data_) x = value;
 }
 
@@ -75,7 +76,7 @@ Matrix& Matrix::operator-=(const Matrix& other) {
   return *this;
 }
 
-Matrix& Matrix::operator*=(double scalar) {
+Matrix& Matrix::operator*=(float scalar) {
   for (auto& x : data_) x *= scalar;
   return *this;
 }

@@ -1,4 +1,9 @@
-// Dense row-major matrix of doubles — the numeric workhorse of the library.
+// Dense row-major matrix of floats — the numeric workhorse of the library
+// and its only matrix type. fp32 is enough everywhere it is used: the
+// network's outputs are softmax probabilities and normalised |∂L/∂x|
+// saliencies, and the flat models split on feature thresholds. Values enter
+// and leave as double (feature vectors, bundle parameters, diagnoses) and
+// are narrowed with round-to-nearest on the way in.
 // Deliberately minimal: the neural network layers and classic-ML models only
 // need 2-D storage, GEMM variants, and elementwise arithmetic.
 #pragma once
@@ -15,13 +20,13 @@ class Matrix {
   /// rows x cols, zero-initialised.
   Matrix(std::size_t rows, std::size_t cols);
   /// rows x cols filled with `value`.
-  Matrix(std::size_t rows, std::size_t cols, double value);
+  Matrix(std::size_t rows, std::size_t cols, float value);
   /// From nested initializer list (for tests/fixtures). All rows must have
   /// equal width.
-  Matrix(std::initializer_list<std::initializer_list<double>> init);
+  Matrix(std::initializer_list<std::initializer_list<float>> init);
 
   static Matrix zeros(std::size_t rows, std::size_t cols);
-  /// Row vector wrapping `v` (1 x v.size()).
+  /// Row vector holding `v` (1 x v.size()), each value rounded to float.
   static Matrix row(const std::vector<double>& v);
 
   std::size_t rows() const { return rows_; }
@@ -29,13 +34,13 @@ class Matrix {
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  float& operator()(std::size_t r, std::size_t c);
+  float operator()(std::size_t r, std::size_t c) const;
 
-  double* data() { return data_.data(); }
-  const double* data() const { return data_.data(); }
-  double* row_ptr(std::size_t r) { return data_.data() + r * cols_; }
-  const double* row_ptr(std::size_t r) const { return data_.data() + r * cols_; }
+  float* data() { return data_.data(); }
+  const float* data() const { return data_.data(); }
+  float* row_ptr(std::size_t r) { return data_.data() + r * cols_; }
+  const float* row_ptr(std::size_t r) const { return data_.data() + r * cols_; }
 
   /// Reshape to rows x cols, reusing the existing heap block whenever its
   /// capacity suffices (the steady-state case for training workspaces).
@@ -50,13 +55,14 @@ class Matrix {
   void assign(const Matrix& other);
 
   /// Set every element to `value`.
-  void fill(double value);
+  void fill(float value);
   /// Element-wise in-place operations.
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);
-  Matrix& operator*=(double scalar);
+  Matrix& operator*=(float scalar);
 
-  /// Copy of row r as a std::vector.
+  /// Copy of row r, widened to double (exact) — how the network's outputs
+  /// leave the matrix world.
   std::vector<double> row_copy(std::size_t r) const;
 
   bool same_shape(const Matrix& other) const {
@@ -66,7 +72,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<double> data_;
+  std::vector<float> data_;
 };
 
 }  // namespace diagnet::tensor

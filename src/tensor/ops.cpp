@@ -107,7 +107,7 @@ void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& c) {
   });
 }
 
-void axpy(double alpha, const Matrix& a, Matrix& c) {
+void axpy(float alpha, const Matrix& a, Matrix& c) {
   DIAGNET_REQUIRE(a.same_shape(c));
   if (a.size() == 0) return;
   detail::active_kernels().axpy1(c.data(), a.data(), alpha, a.size());
@@ -118,7 +118,7 @@ void add_row_bias(Matrix& m, const Matrix& bias) {
   if (m.cols() == 0) return;
   const Kernels& K = detail::active_kernels();
   for (std::size_t r = 0; r < m.rows(); ++r)
-    K.axpy1(m.row_ptr(r), bias.data(), 1.0, m.cols());
+    K.axpy1(m.row_ptr(r), bias.data(), 1.0f, m.cols());
 }
 
 namespace {
@@ -126,9 +126,9 @@ namespace {
 void sum_rows_impl(const Matrix& grad, Matrix& out) {
   if (grad.rows() == 0 || grad.cols() == 0) return;  // nothing to add
   const Kernels& K = detail::active_kernels();
-  double* o = out.data();
+  float* o = out.data();
   for (std::size_t r = 0; r < grad.rows(); ++r)
-    K.axpy1(o, grad.row_ptr(r), 1.0, grad.cols());
+    K.axpy1(o, grad.row_ptr(r), 1.0f, grad.cols());
 }
 
 }  // namespace
@@ -143,9 +143,9 @@ void sum_rows_acc(const Matrix& grad, Matrix& out) {
   sum_rows_impl(grad, out);
 }
 
-double dot(const Matrix& a, const Matrix& b) {
+float dot(const Matrix& a, const Matrix& b) {
   DIAGNET_REQUIRE(a.same_shape(b));
-  if (a.size() == 0) return 0.0;
+  if (a.size() == 0) return 0.0f;
   return detail::active_kernels().dot(a.data(), b.data(), a.size());
 }
 

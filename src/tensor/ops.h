@@ -1,11 +1,11 @@
-// GEMM variants and elementwise kernels. The three GEMM forms below cover
-// everything a fully-connected layer's forward and backward passes need
-// without ever materialising a transpose.
+// GEMM variants and elementwise kernels over fp32 matrices. The three GEMM
+// forms below cover everything a fully-connected layer's forward and
+// backward passes need without ever materialising a transpose.
 //
 // Every GEMM cuts C into fixed 32-row blocks and hands each block to a
 // microkernel chosen at startup by tensor::dispatch (scalar or AVX2+FMA —
 // see dispatch.h): gemm and gemm_at_b[_acc] to the tier's gemm_acc
-// (register tiles over packed 8-column panels of B on AVX2), gemm_a_bt to
+// (6 x 16 register tiles over packed 16-column panels of B on AVX2), gemm_a_bt to
 // its gemm_bt (several A rows per B-row load). Above a flop threshold the
 // blocks fan out over the global thread pool (util::parallel_for).
 // Results are bit-identical regardless of the worker count and of how
@@ -39,7 +39,7 @@ void gemm_at_b_acc(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C += alpha * A (shapes must match).
-void axpy(double alpha, const Matrix& a, Matrix& c);
+void axpy(float alpha, const Matrix& a, Matrix& c);
 
 /// out(r, c) = m(r, c) + bias(0, c): broadcast a row bias over all rows.
 void add_row_bias(Matrix& m, const Matrix& bias);
@@ -50,7 +50,7 @@ void sum_rows(const Matrix& grad, Matrix& out);
 /// out(0, c) += sum_r grad(r, c): accumulating variant (out must be 1 x N).
 void sum_rows_acc(const Matrix& grad, Matrix& out);
 
-/// Frobenius dot product.
-double dot(const Matrix& a, const Matrix& b);
+/// Frobenius dot product (the active tier's fp32 dot).
+float dot(const Matrix& a, const Matrix& b);
 
 }  // namespace diagnet::tensor

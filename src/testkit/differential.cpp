@@ -1,6 +1,7 @@
 #include "testkit/differential.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -33,12 +34,27 @@ bool same_row(const tensor::Matrix& a, std::size_t ra, const tensor::Matrix& b,
               std::size_t rb) {
   return a.cols() == b.cols() &&
          std::memcmp(a.row_ptr(ra), b.row_ptr(rb),
-                     a.cols() * sizeof(double)) == 0;
+                     a.cols() * sizeof(float)) == 0;
 }
 
-// Agreement bound for same-precision kernels that merely reorder the
-// double-precision sums (tiling, sharding): relative to max(|a|,|b|,1).
-constexpr double kSumTol = 1e-10;
+/// Softmax and cross-entropy against the long-double oracle, absolute on
+/// probabilities and relative to max(|loss|, 1) on the loss: each
+/// probability takes the max-shift subtraction (whose rounding exp turns
+/// into a relative error u·|x - max|, at most u/e on the probability and
+/// at most u·loss on its log), one exp, a `classes`-term sum and a
+/// division. (classes + 3)·FLT_EPSILON covers it with a factor-2 margin.
+double softmax_tol(std::size_t classes) {
+  return static_cast<double>(classes + 3) * FLT_EPSILON;
+}
+
+/// LandPooling's fp32 reductions against the long-double oracle, relative
+/// to max(|value|, 1): the convolution terms are bounded by
+/// |K|·|x| <= sqrt(6/k)·|x| (He-uniform kernels over unit-normal
+/// features), a few units per value, and the pooling reductions carry
+/// them on. A reduction of n terms gets kPoolMagnitude · reduction_tol(n);
+/// over 1000 iterations on both tiers the forward needs under 2 and the
+/// gradients 3.2, so 16 leaves a 5x margin.
+constexpr double kPoolMagnitude = 16.0;
 
 struct GemmShape {
   std::size_t m, k, n;
@@ -73,36 +89,48 @@ void check_gemm_oracle(CaseContext& ctx) {
     // C = A · B
     const tensor::Matrix a = gen::matrix(rng, shape.m, shape.k);
     const tensor::Matrix b = gen::matrix(rng, shape.k, shape.n);
+    // Every element is a k-term fp32 reduction: its error against the
+    // long-double oracle is bounded by reduction_tol(k) times the sum of
+    // its terms' magnitudes, the same product over |A| and |B|.
+    const double tol = oracle::reduction_tol(shape.k);
     tensor::Matrix c(shape.m, shape.n);
     tensor::gemm(a, b, c);
-    ctx.check_near(oracle::max_rel_diff(c, oracle::gemm(a, b)), 0.0, kSumTol,
-                   "gemm vs oracle" + tag);
+    ctx.check_near(oracle::max_scaled_err(
+                       c, oracle::gemm(a, b),
+                       oracle::gemm(oracle::abs(a), oracle::abs(b))),
+                   0.0, tol, "gemm vs oracle" + tag);
 
     // C = A^T · B with A stored (K x M)
     const tensor::Matrix at = gen::matrix(rng, shape.k, shape.m);
     tensor::Matrix c2(shape.m, shape.n);
     tensor::gemm_at_b(at, b, c2);
     const tensor::Matrix want_atb = oracle::gemm_at_b(at, b);
-    ctx.check_near(oracle::max_rel_diff(c2, want_atb), 0.0, kSumTol,
+    const tensor::Matrix mag_atb =
+        oracle::gemm_at_b(oracle::abs(at), oracle::abs(b));
+    ctx.check_near(oracle::max_scaled_err(c2, want_atb, mag_atb), 0.0, tol,
                    "gemm_at_b vs oracle" + tag);
 
-    // C += A^T · B on a random pre-filled accumulator
+    // C += A^T · B on a random pre-filled accumulator: k + 1 terms, and
+    // one more rounding for adding `before` to the rounded reference.
     const tensor::Matrix before = gen::matrix(rng, shape.m, shape.n);
     tensor::Matrix c3 = before;
     tensor::gemm_at_b_acc(at, b, c3);
     tensor::Matrix want_acc = want_atb;
-    for (std::size_t i = 0; i < want_acc.rows(); ++i)
-      for (std::size_t j = 0; j < want_acc.cols(); ++j)
-        want_acc(i, j) += before(i, j);
-    ctx.check_near(oracle::max_rel_diff(c3, want_acc), 0.0, kSumTol,
+    want_acc += before;
+    tensor::Matrix mag_acc = mag_atb;
+    mag_acc += oracle::abs(before);
+    ctx.check_near(oracle::max_scaled_err(c3, want_acc, mag_acc), 0.0,
+                   oracle::reduction_tol(shape.k + 2),
                    "gemm_at_b_acc vs oracle" + tag);
 
     // C = A · B^T with B stored (N x K)
     const tensor::Matrix bt = gen::matrix(rng, shape.n, shape.k);
     tensor::Matrix c4(shape.m, shape.n);
     tensor::gemm_a_bt(a, bt, c4);
-    ctx.check_near(oracle::max_rel_diff(c4, oracle::gemm_a_bt(a, bt)), 0.0,
-                   kSumTol, "gemm_a_bt vs oracle" + tag);
+    ctx.check_near(oracle::max_scaled_err(
+                       c4, oracle::gemm_a_bt(a, bt),
+                       oracle::gemm_a_bt(oracle::abs(a), oracle::abs(bt))),
+                   0.0, tol, "gemm_a_bt vs oracle" + tag);
   }
 }
 
@@ -115,14 +143,15 @@ void check_softmax_oracle(CaseContext& ctx) {
   const tensor::Matrix logits = gen::matrix(rng, batch, classes, 20.0);
   const std::vector<std::size_t> labels = gen::labels(rng, batch, classes);
 
+  const double tol = softmax_tol(classes);
   const tensor::Matrix probs = nn::softmax(logits);
   const tensor::Matrix want_probs = oracle::softmax(logits);
-  ctx.check_near(oracle::max_abs_diff(probs, want_probs), 0.0, 1e-12,
+  ctx.check_near(oracle::max_abs_diff(probs, want_probs), 0.0, tol,
                  "softmax vs oracle");
   for (std::size_t i = 0; i < batch; ++i) {
     double sum = 0.0;
     for (std::size_t j = 0; j < classes; ++j) sum += probs(i, j);
-    ctx.check_near(sum, 1.0, 1e-12, "softmax row sum");
+    ctx.check_near(sum, 1.0, tol, "softmax row sum");
   }
 
   ctx.begin_case();
@@ -130,8 +159,8 @@ void check_softmax_oracle(CaseContext& ctx) {
   const double loss = nn::softmax_cross_entropy(logits, labels, &grad);
   const double want_loss =
       oracle::softmax_cross_entropy(logits, labels, &want_grad);
-  ctx.check_near(loss, want_loss, 1e-12, "cross-entropy loss vs oracle");
-  ctx.check_near(oracle::max_abs_diff(grad, want_grad), 0.0, 1e-12,
+  ctx.check_near(loss, want_loss, tol, "cross-entropy loss vs oracle");
+  ctx.check_near(oracle::max_abs_diff(grad, want_grad), 0.0, tol,
                  "cross-entropy gradient vs oracle");
 
   // Sharded-sum variant: sum/B with grad_scale 1/B must equal the mean.
@@ -140,9 +169,9 @@ void check_softmax_oracle(CaseContext& ctx) {
   const double sum_loss = nn::softmax_cross_entropy_sum(
       logits, labels.data(), labels.size(), &shard_grad,
       1.0 / static_cast<double>(batch));
-  ctx.check_near(sum_loss / static_cast<double>(batch), want_loss, 1e-12,
+  ctx.check_near(sum_loss / static_cast<double>(batch), want_loss, tol,
                  "sharded-sum loss vs oracle");
-  ctx.check_near(oracle::max_abs_diff(shard_grad, want_grad), 0.0, 1e-12,
+  ctx.check_near(oracle::max_abs_diff(shard_grad, want_grad), 0.0, tol,
                  "sharded-sum gradient vs oracle");
 }
 
@@ -161,7 +190,10 @@ void check_landpool_oracle(CaseContext& ctx) {
   const tensor::Matrix want = oracle::land_pooling(
       pool.kernel().value, pool.bias().value, pool.ops(), input.land,
       input.mask);
-  ctx.check_near(oracle::max_rel_diff(out, want), 0.0, 1e-9,
+  // Each pooled value reduces a (k + 1)-term convolution and then up to
+  // `landmarks` convolved values (avg, var; the deciles interpolate two).
+  ctx.check_near(oracle::max_rel_diff(out, want), 0.0,
+                 kPoolMagnitude * oracle::reduction_tol(k + 1 + landmarks),
                  "LandPooling forward vs oracle");
 
   // Rows are independent: each row pooled and back-propagated alone gives
@@ -195,8 +227,8 @@ void check_landpool_oracle(CaseContext& ctx) {
   const std::size_t wide = gen::dim(rng, 17, 40);
   const nn::LandBatch clean = gen::land_batch(rng, 2, wide, k, 1);
   nn::LandBatch hostile = gen::land_batch(rng, 3, wide, k, 1);
-  const double poison[] = {std::nan(""), 1e308, -1e308,
-                           std::numeric_limits<double>::infinity()};
+  const float poison[] = {std::nanf(""), 3e38f, -3e38f,
+                          std::numeric_limits<float>::infinity()};
   for (std::size_t c = 0; c < hostile.land.cols(); ++c) {
     hostile.land(0, c) = clean.land(0, c);
     hostile.land(1, c) = poison[c % 4];
@@ -204,11 +236,11 @@ void check_landpool_oracle(CaseContext& ctx) {
   }
   for (std::size_t lam = 0; lam < wide; ++lam) {
     hostile.mask(0, lam) = clean.mask(0, lam);
-    hostile.mask(1, lam) = 1.0;
+    hostile.mask(1, lam) = 1.0f;
     hostile.mask(2, lam) = clean.mask(1, lam);
   }
   const tensor::Matrix clean_grad = gen::matrix(rng, 2, pool.out_features());
-  tensor::Matrix hostile_grad(3, pool.out_features(), 1.0);
+  tensor::Matrix hostile_grad(3, pool.out_features(), 1.0f);
   for (std::size_t c = 0; c < pool.out_features(); ++c) {
     hostile_grad(0, c) = clean_grad(0, c);
     hostile_grad(2, c) = clean_grad(1, c);
@@ -263,14 +295,14 @@ void check_landpool_grad(CaseContext& ctx) {
   }
   if (!separated) return;  // pathologically tied draw: skip this iteration
 
-  // Scalar loss L = Σ w ⊙ pool(land); dL/dpooled = w.
+  // Scalar loss L = Σ w ⊙ pool(land); dL/dpooled = w. The reference is
+  // the long-double oracle, so its central difference is exact up to the
+  // kinks the separation check above keeps the probe step away from.
   const tensor::Matrix weights = gen::matrix(rng, 1, pool.out_features());
-  const auto loss = [&](const tensor::Matrix& land) {
-    const tensor::Matrix out = pool_forward(pool, land, input.mask);
-    double total = 0.0;
-    for (std::size_t j = 0; j < out.cols(); ++j)
-      total += weights(0, j) * out(0, j);
-    return total;
+  tensor::Matrix land = input.land;
+  const auto loss = [&] {
+    return oracle::pooled_dot(pool.kernel().value, pool.bias().value,
+                              pool.ops(), land, input.mask, weights);
   };
 
   nn::LandPooling::PoolContext pctx;
@@ -280,47 +312,34 @@ void check_landpool_grad(CaseContext& ctx) {
   pool.backward_params(weights, pctx, kernel_grad, bias_grad);
   pool.backward_input(weights, pctx, dx);
 
-  const double eps = 1e-6;
+  // The fp32 gradients route each pooled gradient through at most four
+  // fp32 ops, then reduce over the landmarks (kernel, bias) or the filters
+  // (input); kPoolMagnitude bounds the routed terms' magnitudes.
+  const double tol =
+      kPoolMagnitude * oracle::reduction_tol(landmarks + filters + 4);
   // Input gradient: probe a handful of coordinates.
   for (std::size_t probe = 0; probe < 6; ++probe) {
     const std::size_t col =
         static_cast<std::size_t>(rng.uniform_index(input.land.cols()));
-    tensor::Matrix plus = input.land, minus = input.land;
-    plus(0, col) += eps;
-    minus(0, col) -= eps;
-    const double fd = (loss(plus) - loss(minus)) / (2.0 * eps);
-    ctx.check_near(dx(0, col), fd, 1e-4,
+    const double fd = oracle::central_difference(loss, land(0, col));
+    ctx.check_near(oracle::grad_error(dx(0, col), fd), 0.0, tol,
                    "input gradient vs finite difference, col " +
                        std::to_string(col));
   }
 
-  // Parameter gradients: probe kernel and bias entries. Perturbing
-  // parameters re-runs forward through the same layer, so restore after.
-  const auto param_loss = [&]() { return loss(input.land); };
+  // Parameter gradients: probe kernel and bias entries.
   for (std::size_t probe = 0; probe < 6; ++probe) {
     const std::size_t f =
         static_cast<std::size_t>(rng.uniform_index(filters));
     const std::size_t t = static_cast<std::size_t>(rng.uniform_index(k));
-    double& entry = pool.kernel().value(f, t);
-    const double saved = entry;
-    entry = saved + eps;
-    const double up = param_loss();
-    entry = saved - eps;
-    const double down = param_loss();
-    entry = saved;
-    ctx.check_near(kernel_grad(f, t), (up - down) / (2.0 * eps), 1e-4,
+    const double fd = oracle::central_difference(loss, pool.kernel().value(f, t));
+    ctx.check_near(oracle::grad_error(kernel_grad(f, t), fd), 0.0, tol,
                    "kernel gradient vs finite difference (" +
                        std::to_string(f) + "," + std::to_string(t) + ")");
   }
   for (std::size_t f = 0; f < filters; ++f) {
-    double& entry = pool.bias().value(0, f);
-    const double saved = entry;
-    entry = saved + eps;
-    const double up = param_loss();
-    entry = saved - eps;
-    const double down = param_loss();
-    entry = saved;
-    ctx.check_near(bias_grad(0, f), (up - down) / (2.0 * eps), 1e-4,
+    const double fd = oracle::central_difference(loss, pool.bias().value(0, f));
+    ctx.check_near(oracle::grad_error(bias_grad(0, f), fd), 0.0, tol,
                    "bias gradient vs finite difference, filter " +
                        std::to_string(f));
   }

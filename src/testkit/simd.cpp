@@ -1,6 +1,7 @@
 #include "testkit/simd.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -20,21 +21,30 @@ namespace {
 
 using tensor::detail::Kernels;
 
-// Same-precision reordering tolerance as the GEMM oracle suites.
-constexpr double kSumTol = 1e-10;
-
-/// Spans that cross every kernel regime: empty, below the 4-lane width,
+/// Spans that cross every kernel regime: empty, below the 8-lane width,
 /// exactly at it, the avx2 small-reduce threshold (16) and its neighbours,
-/// and a couple of long random spans for the unrolled bodies.
+/// the 32-wide dot stride, and a couple of long random spans for the
+/// unrolled bodies.
 std::vector<std::size_t> spans(util::Rng& rng) {
-  return {0,  1,  3,  4,  5,  15, 16, 17,
+  return {0,  1,  3,  7,  8,  9,  15, 16, 17, 31, 32, 33,
           gen::dim(rng, 33, 96), gen::dim(rng, 200, 600)};
 }
 
-std::vector<double> vec(util::Rng& rng, std::size_t n, double scale = 1.0) {
-  std::vector<double> v(n);
-  for (double& x : v) x = rng.normal() * scale;
+std::vector<float> vec(util::Rng& rng, std::size_t n, double scale = 1.0) {
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.normal() * scale);
   return v;
+}
+
+/// |got - want| within the fp32 error bound of an n-term reduction whose
+/// terms' magnitudes sum to `magnitude` (oracle::reduction_tol).
+void check_reduction(CaseContext& ctx, double got, long double want,
+                     long double magnitude, std::size_t n,
+                     const std::string& what) {
+  const long double err = std::fabs(static_cast<long double>(got) - want);
+  ctx.check_near(static_cast<double>(
+                     err / std::max<long double>(magnitude, FLT_MIN)),
+                 0.0, oracle::reduction_tol(n), what);
 }
 
 /// Every tier this binary can actually run here. Scalar is always first.
@@ -50,36 +60,43 @@ void check_one_tier(CaseContext& ctx, const Kernels& K, std::size_t n,
   const std::string tag =
       std::string(" [") + K.name + " n=" + std::to_string(n) + "]";
 
-  const std::vector<double> a = vec(rng, n);
-  const std::vector<double> b = vec(rng, n);
+  const std::vector<float> a = vec(rng, n);
+  const std::vector<float> b = vec(rng, n);
 
   // dot vs long-double reference.
-  long double want_dot = 0.0L;
-  for (std::size_t j = 0; j < n; ++j)
+  long double want_dot = 0.0L, dot_mag = 0.0L;
+  for (std::size_t j = 0; j < n; ++j) {
     want_dot += static_cast<long double>(a[j]) * b[j];
-  ctx.check_near(K.dot(a.data(), b.data(), n),
-                 static_cast<double>(want_dot), kSumTol, "dot" + tag);
+    dot_mag += std::fabs(static_cast<long double>(a[j]) * b[j]);
+  }
+  check_reduction(ctx, K.dot(a.data(), b.data(), n), want_dot, dot_mag, n,
+                  "dot" + tag);
 
   // reduce_sum / reduce_sq_dev.
-  long double want_sum = 0.0L;
-  for (double x : a) want_sum += x;
-  ctx.check_near(K.reduce_sum(a.data(), n), static_cast<double>(want_sum),
-                 kSumTol, "reduce_sum" + tag);
-  const double mean = n > 0 ? static_cast<double>(want_sum) / n : 0.0;
+  long double want_sum = 0.0L, sum_mag = 0.0L;
+  for (const float x : a) {
+    want_sum += x;
+    sum_mag += std::fabs(x);
+  }
+  check_reduction(ctx, K.reduce_sum(a.data(), n), want_sum, sum_mag, n,
+                  "reduce_sum" + tag);
+  const float mean =
+      n > 0 ? static_cast<float>(want_sum / static_cast<long double>(n))
+            : 0.0f;
   long double want_sq = 0.0L;
-  for (double x : a) {
+  for (const float x : a) {
     const long double d = static_cast<long double>(x) - mean;
     want_sq += d * d;
   }
-  ctx.check_near(K.reduce_sq_dev(a.data(), n, mean),
-                 static_cast<double>(want_sq), kSumTol,
-                 "reduce_sq_dev" + tag);
+  // Each term also rounds its difference (twice, once per factor).
+  check_reduction(ctx, K.reduce_sq_dev(a.data(), n, mean), want_sq, want_sq,
+                  n + 2, "reduce_sq_dev" + tag);
 
   // reduce_max / reduce_absmax are exact (no rounding), and the n == 0
   // edge is part of the contract: -inf and 0 respectively.
-  double want_max = -std::numeric_limits<double>::infinity();
-  double want_absmax = 0.0;
-  for (double x : a) {
+  float want_max = -std::numeric_limits<float>::infinity();
+  float want_absmax = 0.0f;
+  for (const float x : a) {
     want_max = std::max(want_max, x);
     want_absmax = std::max(want_absmax, std::fabs(x));
   }
@@ -87,19 +104,16 @@ void check_one_tier(CaseContext& ctx, const Kernels& K, std::size_t n,
   ctx.check(K.reduce_absmax(a.data(), n) == want_absmax,
             "reduce_absmax" + tag);
 
-  // axpy1 vs reference (fma-per-lane tolerance is still within kSumTol).
-  const double alpha = rng.normal();
-  std::vector<double> c = vec(rng, n);
-  std::vector<double> c1 = c;
+  // axpy1 vs a long-double reference: one product and one sum per lane.
+  const auto alpha = static_cast<float>(rng.normal());
+  const std::vector<float> c = vec(rng, n);
+  std::vector<float> c1 = c;
   K.axpy1(c1.data(), b.data(), alpha, n);
-  double worst = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
-    const double want = static_cast<double>(
-        static_cast<long double>(c[j]) + static_cast<long double>(alpha) * b[j]);
-    worst = std::max(worst, std::fabs(c1[j] - want) /
-                                std::max(std::fabs(want), 1.0));
+    const long double prod = static_cast<long double>(alpha) * b[j];
+    check_reduction(ctx, c1[j], c[j] + prod, std::fabs(c[j]) + std::fabs(prod),
+                    2, "axpy1" + tag);
   }
-  ctx.check_near(worst, 0.0, kSumTol, "axpy1" + tag);
 
   // axpy4 vs long-double reference. On the AVX2 tier the fused group is
   // additionally bit-identical to four ordered axpy1 calls (its FMA chain
@@ -107,26 +121,29 @@ void check_one_tier(CaseContext& ctx, const Kernels& K, std::size_t n,
   // expression, so there it only has to be *near* the sequential result —
   // its batch/single equality comes from both paths calling this same
   // axpy4, which the gemv-composition check below pins.
-  const std::vector<double> b0 = vec(rng, n), b1 = vec(rng, n);
-  const std::vector<double> b2 = vec(rng, n), b3 = vec(rng, n);
-  const double a0 = rng.normal(), a1 = rng.normal();
-  const double a2 = rng.normal(), a3 = rng.normal();
-  std::vector<double> fused = c;
+  const std::vector<float> b0 = vec(rng, n), b1 = vec(rng, n);
+  const std::vector<float> b2 = vec(rng, n), b3 = vec(rng, n);
+  const auto a0 = static_cast<float>(rng.normal());
+  const auto a1 = static_cast<float>(rng.normal());
+  const auto a2 = static_cast<float>(rng.normal());
+  const auto a3 = static_cast<float>(rng.normal());
+  std::vector<float> fused = c;
   K.axpy4(fused.data(), b0.data(), b1.data(), b2.data(), b3.data(), a0, a1,
           a2, a3, n);
-  double worst4 = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
-    const double want = static_cast<double>(
-        static_cast<long double>(c[j]) + static_cast<long double>(a0) * b0[j] +
-        static_cast<long double>(a1) * b1[j] +
-        static_cast<long double>(a2) * b2[j] +
-        static_cast<long double>(a3) * b3[j]);
-    worst4 = std::max(worst4, std::fabs(fused[j] - want) /
-                                  std::max(std::fabs(want), 1.0));
+    const long double p[4] = {static_cast<long double>(a0) * b0[j],
+                              static_cast<long double>(a1) * b1[j],
+                              static_cast<long double>(a2) * b2[j],
+                              static_cast<long double>(a3) * b3[j]};
+    long double want = c[j], mag = std::fabs(c[j]);
+    for (const long double t : p) {
+      want += t;
+      mag += std::fabs(t);
+    }
+    check_reduction(ctx, fused[j], want, mag, 5, "axpy4" + tag);
   }
-  ctx.check_near(worst4, 0.0, kSumTol, "axpy4" + tag);
   if (std::string(K.name) == "avx2") {
-    std::vector<double> seq = c;
+    std::vector<float> seq = c;
     K.axpy1(seq.data(), b0.data(), a0, n);
     K.axpy1(seq.data(), b1.data(), a1, n);
     K.axpy1(seq.data(), b2.data(), a2, n);
@@ -135,8 +152,8 @@ void check_one_tier(CaseContext& ctx, const Kernels& K, std::size_t n,
   }
 
   // scale_div vs plain division (exact: same single fp op per lane).
-  const double denom = 1.0 + std::fabs(rng.normal()) * 3.0;
-  std::vector<double> scaled = c;
+  const auto denom = static_cast<float>(1.0 + std::fabs(rng.normal()) * 3.0);
+  std::vector<float> scaled = c;
   K.scale_div(scaled.data(), denom, n);
   bool div_exact = true;
   for (std::size_t j = 0; j < n; ++j)
@@ -149,32 +166,31 @@ void check_gemv_tier(CaseContext& ctx, const Kernels& K, std::size_t k,
   const std::string tag = std::string(" [") + K.name + " k=" +
                           std::to_string(k) + " n=" + std::to_string(n) +
                           "]";
-  const std::vector<double> a = vec(rng, k);
-  const std::vector<double> b = vec(rng, k * n);
-  std::vector<double> c0 = vec(rng, n);
+  const std::vector<float> a = vec(rng, k);
+  const std::vector<float> b = vec(rng, k * n);
+  const std::vector<float> c0 = vec(rng, n);
 
   // Zero-row (k == 0) and zero-col (n == 0) must be well-defined no-ops.
-  std::vector<double> c = c0;
+  std::vector<float> c = c0;
   K.gemv(c.data(), a.data(), b.data(), k, n, n);
   if (k == 0 || n == 0) {
     ctx.check(c == c0, "gemv zero-shape is a no-op" + tag);
     return;
   }
 
-  long double worst = 0.0L;
   for (std::size_t j = 0; j < n; ++j) {
-    long double want = c0[j];
-    for (std::size_t kk = 0; kk < k; ++kk)
-      want += static_cast<long double>(a[kk]) * b[kk * n + j];
-    const long double w = std::fabs(static_cast<long double>(c[j]) - want) /
-                          std::max<long double>(std::fabs(want), 1.0L);
-    worst = std::max(worst, w);
+    long double want = c0[j], mag = std::fabs(c0[j]);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const long double t = static_cast<long double>(a[kk]) * b[kk * n + j];
+      want += t;
+      mag += std::fabs(t);
+    }
+    check_reduction(ctx, c[j], want, mag, k + 1, "gemv" + tag);
   }
-  ctx.check_near(static_cast<double>(worst), 0.0, kSumTol, "gemv" + tag);
 
   // gemv must equal its own tier's grouped axpy composition bitwise — the
   // 1-row GEMM fast path depends on this.
-  std::vector<double> grouped = c0;
+  std::vector<float> grouped = c0;
   std::size_t kk = 0;
   for (; kk + 4 <= k; kk += 4)
     K.axpy4(grouped.data(), &b[kk * n], &b[(kk + 1) * n], &b[(kk + 2) * n],
@@ -195,12 +211,18 @@ void check_kernel_tiers(CaseContext& ctx) {
 
     // Cross-tier agreement: FMA reorders rounding, so scalar vs avx2 only
     // match to the oracle tolerance — but both must be near the truth, so
-    // they must be near each other.
+    // they must be within twice that bound of each other.
     if (tiers.size() > 1 && n > 0) {
-      const std::vector<double> a = vec(rng, n), b = vec(rng, n);
-      ctx.check_near(tiers[0]->dot(a.data(), b.data(), n),
-                     tiers[1]->dot(a.data(), b.data(), n), kSumTol,
-                     "scalar vs avx2 dot n=" + std::to_string(n));
+      const std::vector<float> a = vec(rng, n), b = vec(rng, n);
+      long double mag = 0.0L;
+      for (std::size_t j = 0; j < n; ++j)
+        mag += std::fabs(static_cast<long double>(a[j]) * b[j]);
+      const double diff = std::fabs(
+          static_cast<double>(tiers[0]->dot(a.data(), b.data(), n)) -
+          tiers[1]->dot(a.data(), b.data(), n));
+      ctx.check(diff <= 2.0 * oracle::reduction_tol(n) *
+                            static_cast<double>(mag),
+                "scalar vs avx2 dot n=" + std::to_string(n));
     }
   }
 
@@ -226,7 +248,7 @@ void check_quantize_roundtrip(CaseContext& ctx) {
   // Force one all-zero column: its scale must fall back to 1 (never a
   // divide-by-zero) and its codes must all be zero.
   const std::size_t zero_col = rng.uniform_index(out);
-  for (std::size_t i = 0; i < in; ++i) weight(i, zero_col) = 0.0;
+  for (std::size_t i = 0; i < in; ++i) weight(i, zero_col) = 0.0f;
 
   const nn::QuantizedLinear q = nn::quantize_weights(weight);
   ctx.check(q.valid() && q.in == in && q.out == out, "quantized dims");
@@ -237,9 +259,10 @@ void check_quantize_roundtrip(CaseContext& ctx) {
     for (std::size_t i = 0; i < in; ++i) {
       const int code = q.weights[i * out + j];
       ctx.check(code >= -127 && code <= 127, "code range");
-      // Round-to-nearest bound: |w - q*s| <= s/2 (+ a float-scale ulp).
+      // Round-to-nearest bound: |w - q*s| <= s/2, plus the rounding of
+      // w·(1/s) before lrint: two fp32 ops, |w| <= 127s, so 2·127·u·s.
       const double err = std::fabs(weight(i, j) - code * s);
-      ctx.check(err <= 0.5 * s * (1.0 + 1e-6),
+      ctx.check(err <= s * (0.5 + 127.0 * FLT_EPSILON),
                 "round-trip bound i=" + std::to_string(i) +
                     " j=" + std::to_string(j));
     }
@@ -259,23 +282,19 @@ void check_quantize_roundtrip(CaseContext& ctx) {
   // quantize_row and qgemv are exact integer kernels: every tier must
   // match a naive int64 reference bit-for-bit, including in == 0.
   ctx.begin_case();
-  const std::vector<double> x = [&] {
-    std::vector<double> v(in);
-    for (double& e : v) e = rng.normal() * 3.0;
-    return v;
-  }();
-  const double absmax = *std::max_element(
-      x.begin(), x.end(), [](double l, double r) {
-        return std::fabs(l) < std::fabs(r);
-      });
-  const double sx = std::fabs(absmax) > 0.0 ? std::fabs(absmax) / 127.0 : 1.0;
+  const std::vector<float> x = vec(rng, in, 3.0);
+  const float absmax = std::fabs(*std::max_element(
+      x.begin(), x.end(),
+      [](float l, float r) { return std::fabs(l) < std::fabs(r); }));
+  const float sx = absmax > 0.0f ? absmax / 127.0f : 1.0f;
+  const float inv_sx = 1.0f / sx;
   std::vector<std::int8_t> want_q(in);
   for (std::size_t i = 0; i < in; ++i)
     want_q[i] = static_cast<std::int8_t>(
-        std::clamp(std::lrint(x[i] / sx), -127L, 127L));
+        std::clamp(std::lrint(x[i] * inv_sx), -127L, 127L));
   for (const Kernels* K : tiers) {
     std::vector<std::int8_t> got_q(in);
-    K->quantize_row(x.data(), 1.0 / sx, got_q.data(), in);
+    K->quantize_row(x.data(), inv_sx, got_q.data(), in);
     ctx.check(got_q == want_q,
               std::string("quantize_row exact [") + K->name + "]");
 

@@ -144,15 +144,17 @@ TEST(BatchDiagnoser, ZeroBatchSizeThrows) {
 }
 
 /// Request poisons that must fail alone: a landmark mask with nothing
-/// available, a NaN feature, and a row whose features are all 1e308
-/// (finite, so it passes validation, but it overflows the network).
-enum class Poison { kNoLandmark, kNanFeature, kHugeFeatures };
+/// available, a NaN feature, a row whose features are all 1e308, and one
+/// finite feature whose normalised value overflows float (a loss ratio of
+/// 1e300 normalises to ~1e150), which must never reach the fp32 network.
+enum class Poison { kNoLandmark, kNanFeature, kHugeFeatures, kFloatOverflow };
 
 const char* poison_name(Poison poison) {
   switch (poison) {
     case Poison::kNoLandmark: return "NoLandmark";
     case Poison::kNanFeature: return "NanFeature";
     case Poison::kHugeFeatures: return "HugeFeatures";
+    case Poison::kFloatOverflow: return "FloatOverflow";
   }
   return "?";
 }
@@ -167,12 +169,16 @@ TEST_P(PoisonRow, FailsAloneWithInvalidArgument) {
   ASSERT_GE(indices.size(), 3u);
 
   core::DiagnoseRequest bad = request_for(indices[1]);
+  const std::size_t overflowing =
+      p.feature_space().landmark_feature(0, data::Metric::Loss);
   if (poison == Poison::kNoLandmark)
     bad.landmark_available.assign(bad.landmark_available.size(), false);
   else if (poison == Poison::kNanFeature)
     bad.features[3] = std::nan("");
-  else
+  else if (poison == Poison::kHugeFeatures)
     bad.features.assign(bad.features.size(), 1e308);
+  else
+    bad.features[overflowing] = 1e300;
   const std::vector<core::DiagnoseRequest> requests = {
       request_for(indices[0]), bad, request_for(indices[2])};
 
@@ -184,6 +190,12 @@ TEST_P(PoisonRow, FailsAloneWithInvalidArgument) {
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[1].status.code(), util::StatusCode::kInvalidArgument)
       << got[1].status.message();
+  if (poison == Poison::kFloatOverflow) {
+    EXPECT_NE(got[1].status.message().find(
+                  "feature " + std::to_string(overflowing) + " "),
+              std::string::npos)
+        << got[1].status.message();
+  }
 
   for (const std::size_t i : {0u, 2u}) {
     SCOPED_TRACE("clean row " + std::to_string(i));
@@ -198,7 +210,8 @@ INSTANTIATE_TEST_SUITE_P(
     BatchDiagnoser, PoisonRow,
     ::testing::Combine(::testing::Values(Poison::kNoLandmark,
                                          Poison::kNanFeature,
-                                         Poison::kHugeFeatures),
+                                         Poison::kHugeFeatures,
+                                         Poison::kFloatOverflow),
                        ::testing::Values(std::size_t{1}, std::size_t{4})),
     [](const auto& param_info) {
       return std::string(poison_name(std::get<0>(param_info.param))) +

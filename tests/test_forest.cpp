@@ -44,7 +44,7 @@ TEST(DecisionTree, SeparatesBlobs) {
 
   std::size_t correct = 0;
   for (std::size_t i = 0; i < 400; ++i) {
-    const auto proba = tree.predict_proba(x.row_ptr(i));
+    const auto proba = tree.predict_proba(x.row_copy(i).data());
     correct += (proba[y[i]] > 0.5) ? 1 : 0;
   }
   EXPECT_GT(correct, 390u);
@@ -59,7 +59,7 @@ TEST(DecisionTree, PureNodeBecomesLeaf) {
   tree.fit(x, y, 2, all_rows(10), TreeConfig{}, rng);
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_EQ(tree.depth(), 1u);
-  EXPECT_DOUBLE_EQ(tree.predict_proba(x.row_ptr(0))[1], 1.0);
+  EXPECT_DOUBLE_EQ(tree.predict_proba(x.row_copy(0).data())[1], 1.0);
 }
 
 TEST(DecisionTree, RespectsMaxDepth) {
@@ -88,7 +88,7 @@ TEST(DecisionTree, ProbaSumsToOne) {
   util::Rng rng(7);
   tree.fit(x, y, 2, all_rows(100), TreeConfig{}, rng);
   for (std::size_t i = 0; i < 20; ++i) {
-    const auto proba = tree.predict_proba(x.row_ptr(i));
+    const auto proba = tree.predict_proba(x.row_copy(i).data());
     EXPECT_NEAR(proba[0] + proba[1], 1.0, 1e-12);
   }
 }
@@ -113,9 +113,9 @@ TEST(RandomForest, SeparatesBlobsAndIsDeterministic) {
 
   std::size_t correct = 0;
   for (std::size_t i = 0; i < 500; ++i) {
-    correct += a.predict(x.row_ptr(i)) == y[i] ? 1 : 0;
-    const auto pa = a.predict_proba(x.row_ptr(i));
-    const auto pb = b.predict_proba(x.row_ptr(i));
+    correct += a.predict(x.row_copy(i).data()) == y[i] ? 1 : 0;
+    const auto pa = a.predict_proba(x.row_copy(i).data());
+    const auto pb = b.predict_proba(x.row_copy(i).data());
     EXPECT_DOUBLE_EQ(pa[0], pb[0]);  // same seed -> identical forest
   }
   EXPECT_GT(correct, 490u);
@@ -139,8 +139,8 @@ TEST(RandomForest, DifferentSeedsGiveDifferentForests) {
   b.fit(x, y, 2, config, 2);
   bool any_diff = false;
   for (std::size_t i = 0; i < 50 && !any_diff; ++i)
-    any_diff = a.predict_proba(x.row_ptr(i))[0] !=
-               b.predict_proba(x.row_ptr(i))[0];
+    any_diff = a.predict_proba(x.row_copy(i).data())[0] !=
+               b.predict_proba(x.row_copy(i).data())[0];
   EXPECT_TRUE(any_diff);
 }
 
@@ -178,7 +178,7 @@ TEST(ExtensibleForest, ScoresAllCausesAndSumsToOne) {
   model.fit(x, y, 6, config, 11);
 
   EXPECT_EQ(model.trained_causes(), (std::vector<std::size_t>{1, 2}));
-  const auto scores = model.score_causes(x.row_ptr(0));
+  const auto scores = model.score_causes(x.row_copy(0).data());
   EXPECT_EQ(scores.size(), 6u);
   double sum = 0.0;
   for (double s : scores) {

@@ -1,10 +1,9 @@
-// Shared helpers for the test suite: finite-difference gradient checking,
-// random fixtures (delegated to the testkit generators), and the gtest
-// front end over the testkit property suites.
+// Shared helpers for the test suite: random fixtures (delegated to the
+// testkit generators) and the gtest front end over the testkit property
+// suites. Gradient checks difference testkit::oracle's long-double
+// references (oracle::central_difference).
 #pragma once
 
-#include <cmath>
-#include <functional>
 #include <string>
 
 #include "tensor/matrix.h"
@@ -18,25 +17,6 @@ inline tensor::Matrix random_matrix(std::size_t rows, std::size_t cols,
                                     std::uint64_t seed, double scale = 1.0) {
   util::Rng rng(seed);
   return testkit::gen::matrix(rng, rows, cols, scale);
-}
-
-/// Central finite difference of a scalar function w.r.t. one entry of a
-/// matrix owned elsewhere (the function must read the matrix each call).
-inline double finite_difference(const std::function<double()>& f, double& x,
-                                double eps = 1e-6) {
-  const double saved = x;
-  x = saved + eps;
-  const double fp = f();
-  x = saved - eps;
-  const double fm = f();
-  x = saved;
-  return (fp - fm) / (2.0 * eps);
-}
-
-/// Relative error tolerant of tiny magnitudes.
-inline double rel_error(double a, double b) {
-  const double denom = std::max({std::abs(a), std::abs(b), 1e-8});
-  return std::abs(a - b) / denom;
 }
 
 /// Run one registered testkit suite under the CI-overridable seed/iters

@@ -4,17 +4,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+
 #include "nn/linear.h"
 #include "nn/softmax.h"
 #include "tests/test_helpers.h"
+#include "testkit/oracle.h"
 #include "util/rng.h"
 
 namespace diagnet::nn {
 namespace {
 
-using test::finite_difference;
+namespace oracle = testkit::oracle;
+using testkit::oracle::central_difference;
+using testkit::oracle::grad_error;
 using test::random_matrix;
-using test::rel_error;
+
+/// Softmax probabilities and cross-entropy gradients against long-double
+/// references, absolute: one max-shift, one exp, a `classes`-term sum and a
+/// division per probability (testkit's differential softmax bound).
+double softmax_tol(std::size_t classes) {
+  return static_cast<double>(classes + 3) * FLT_EPSILON;
+}
 
 Matrix forward(const Linear& layer, const Matrix& input) {
   Matrix out;
@@ -44,17 +56,27 @@ TEST(Linear, GradientCheckAllPaths) {
   Matrix input = random_matrix(5, 4, 7);
   const Matrix target = random_matrix(5, 3, 8);
 
-  // Scalar loss: 0.5 * ||forward(input) - target||^2.
+  // Scalar loss: 0.5 * ||input·W + b - target||^2, in long double so its
+  // central difference is a gradient reference far beyond fp32.
+  const Matrix& w = layer.weight().value;
+  const Matrix& b = layer.bias().value;
   const auto loss = [&] {
-    const Matrix out = forward(layer, input);
-    double l = 0.0;
-    for (std::size_t r = 0; r < out.rows(); ++r)
-      for (std::size_t c = 0; c < out.cols(); ++c) {
-        const double d = out(r, c) - target(r, c);
-        l += 0.5 * d * d;
+    long double l = 0.0L;
+    for (std::size_t r = 0; r < input.rows(); ++r)
+      for (std::size_t c = 0; c < w.cols(); ++c) {
+        long double y = b(0, c);
+        for (std::size_t k = 0; k < w.rows(); ++k)
+          y += static_cast<long double>(input(r, k)) * w(k, c);
+        const long double d = y - target(r, c);
+        l += 0.5L * d * d;
       }
-    return l;
+    return static_cast<double>(l);
   };
+  // The fp32 gradients reduce over the batch (dW, db) or the outputs (dX)
+  // on top of the forward's (in + 1)-term reduction; 16 bounds the term
+  // magnitudes (unit-normal data, He-uniform weights) against
+  // max(|grad|, 1).
+  const double tol = 16.0 * oracle::reduction_tol(4 + 5 + 1);
 
   // Analytic gradients: the training backward (dW, db, dX) and the
   // input-only backward the attention path uses.
@@ -67,18 +89,18 @@ TEST(Linear, GradientCheckAllPaths) {
   for (std::size_t r = 0; r < layer.weight().value.rows(); ++r)
     for (std::size_t c = 0; c < layer.weight().value.cols(); ++c) {
       const double fd =
-          finite_difference(loss, layer.weight().value(r, c));
-      EXPECT_LT(rel_error(fd, grad_w(r, c)), 1e-5);
+          central_difference(loss, layer.weight().value(r, c));
+      EXPECT_LT(grad_error(grad_w(r, c), fd), tol);
     }
   for (std::size_t c = 0; c < layer.bias().value.cols(); ++c) {
-    const double fd = finite_difference(loss, layer.bias().value(0, c));
-    EXPECT_LT(rel_error(fd, grad_b(0, c)), 1e-5);
+    const double fd = central_difference(loss, layer.bias().value(0, c));
+    EXPECT_LT(grad_error(grad_b(0, c), fd), tol);
   }
   for (std::size_t r = 0; r < input.rows(); ++r)
     for (std::size_t c = 0; c < input.cols(); ++c) {
-      const double fd = finite_difference(loss, input(r, c));
-      EXPECT_LT(rel_error(fd, grad_in(r, c)), 1e-5);
-      EXPECT_LT(rel_error(fd, grad_in_only(r, c)), 1e-5);
+      const double fd = central_difference(loss, input(r, c));
+      EXPECT_LT(grad_error(grad_in(r, c), fd), tol);
+      EXPECT_EQ(grad_in_only(r, c), grad_in(r, c));
     }
 }
 
@@ -92,8 +114,12 @@ TEST(Linear, GradientsAccumulateAcrossBackwards) {
   const double once_w = grad_w(0, 0);
   const double once_b = grad_b(0, 0);
   layer.backward_into(input, grad, grad_w, grad_b, nullptr);
-  EXPECT_NEAR(grad_w(0, 0), 2.0 * once_w, 1e-12);
-  EXPECT_NEAR(grad_b(0, 0), 2.0 * once_b, 1e-12);
+  // The second pass is a 3-row reduction rooted at the first pass's value:
+  // four terms whose magnitudes, like the result's, are within 2·|once|
+  // plus the rows' products (unit-normal data: a few units).
+  const double tol = 4.0 * oracle::reduction_tol(4);
+  EXPECT_NEAR(grad_w(0, 0), 2.0 * once_w, tol);
+  EXPECT_NEAR(grad_b(0, 0), 2.0 * once_b, tol);
 }
 
 TEST(Softmax, RowsSumToOne) {
@@ -104,13 +130,13 @@ TEST(Softmax, RowsSumToOne) {
       EXPECT_GT(probs(r, c), 0.0);
       sum += probs(r, c);
     }
-    EXPECT_NEAR(sum, 1.0, 1e-12);
+    EXPECT_NEAR(sum, 1.0, softmax_tol(probs.cols()));
   }
 }
 
 TEST(Softmax, StableForHugeLogits) {
   const Matrix probs = softmax(Matrix{{1000.0, 1001.0}});
-  EXPECT_NEAR(probs(0, 0) + probs(0, 1), 1.0, 1e-12);
+  EXPECT_NEAR(probs(0, 0) + probs(0, 1), 1.0, softmax_tol(2));
   EXPECT_GT(probs(0, 1), probs(0, 0));
   EXPECT_FALSE(std::isnan(probs(0, 0)));
 }
@@ -132,12 +158,12 @@ TEST(SoftmaxXent, GradientMatchesFiniteDifference) {
   Matrix grad;
   softmax_cross_entropy(logits, labels, &grad);
   const auto loss = [&] {
-    return softmax_cross_entropy(logits, labels, nullptr);
+    return oracle::softmax_cross_entropy(logits, labels, nullptr);
   };
   for (std::size_t r = 0; r < logits.rows(); ++r)
     for (std::size_t c = 0; c < logits.cols(); ++c) {
-      const double fd = finite_difference(loss, logits(r, c));
-      EXPECT_LT(rel_error(fd, grad(r, c)), 1e-5);
+      const double fd = central_difference(loss, logits(r, c));
+      EXPECT_LT(grad_error(grad(r, c), fd), softmax_tol(logits.cols()));
     }
 }
 

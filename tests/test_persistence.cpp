@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <sstream>
 
 #include "core/registry.h"
@@ -115,6 +118,123 @@ TEST(ModelRegistry, SpecialisedHeadsSurvive) {
   ASSERT_TRUE(restored.ok()) << restored.status().message();
   for (const auto& [service, history] : p.specialization_history())
     EXPECT_TRUE((*restored)->has_specialized(service));
+}
+
+// ---------------------------------------------------------------------------
+// Bundle compatibility: parameters are fp32 in memory and fp64 on disk.
+
+/// `v` moved off the float grid: the next double up, which no float holds
+/// (a float has 29 fewer mantissa bits) unless v is zero.
+double off_grid(double v) {
+  return std::nextafter(v, std::numeric_limits<double>::infinity());
+}
+
+TEST(BundleCompat, LoadParametersRoundsEachDoubleToNearestFloat) {
+  util::Rng rng(3);
+  nn::CoarseNetConfig config;
+  config.features_per_landmark = 3;
+  config.local_features = 2;
+  config.filters = 4;
+  config.hidden = {8, 6};
+  config.classes = 4;
+  nn::CoarseNet net(config, rng);
+  // Fresh normal draws: full 53-bit doubles, off the float grid.
+  std::vector<double> flat = net.save_parameters();
+  for (double& v : flat) v = rng.normal();
+  net.load_parameters(flat);
+  const std::vector<double> loaded = net.save_parameters();
+  ASSERT_EQ(loaded.size(), flat.size());
+  for (std::size_t i = 0; i < flat.size(); ++i)
+    ASSERT_EQ(loaded[i], static_cast<double>(static_cast<float>(flat[i])))
+        << "parameter " << i;
+
+  // A finite value no float can hold is refused, not narrowed.
+  flat[0] = 1e300;
+  EXPECT_THROW(net.load_parameters(flat), std::logic_error);
+}
+
+TEST(BundleCompat, SaveLoadSaveIsByteIdentical) {
+  auto& p = pipeline();
+  std::stringstream first;
+  ASSERT_TRUE(core::try_save_model(p.diagnet(), first).ok());
+  auto restored = core::try_load_model(first, p.feature_space());
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  std::stringstream second;
+  ASSERT_TRUE(core::try_save_model(**restored, second).ok());
+  EXPECT_EQ(first.str(), second.str());
+}
+
+/// Writes `model` in DiagNetModel's on-disk payload layout (tag
+/// 0xd1a60e7'0002), but with every network parameter passed through
+/// `param` first — how a bundle written while the network computed in
+/// fp64 carries weights no float holds.
+void write_payload(core::DiagNetModel& model,
+                   const std::function<double(double)>& param,
+                   util::BinaryWriter& writer) {
+  const data::FeatureSpace& fs = model.feature_space();
+  const nn::CoarseNetConfig& coarse = model.config().coarse;
+  writer.write_u64(0xd1a60e7'0002ULL);
+  writer.write_u64(fs.landmark_count());
+  writer.write_u64(fs.total());
+  writer.write_u64(coarse.features_per_landmark);
+  writer.write_u64(coarse.local_features);
+  writer.write_u64(coarse.filters);
+  std::vector<std::size_t> ops;
+  for (const nn::PoolOp op : coarse.pool_ops)
+    ops.push_back(static_cast<std::size_t>(op));
+  writer.write_indices(ops);
+  writer.write_indices(coarse.hidden);
+  writer.write_u64(coarse.classes);
+  writer.write_bool(model.config().use_score_weighting);
+  writer.write_bool(model.config().use_ensemble);
+  const auto params = [&](const nn::CoarseNet& net) {
+    std::vector<double> flat = net.save_parameters();
+    for (double& v : flat) v = param(v);
+    return flat;
+  };
+  writer.write_doubles(params(model.general_net()));
+  const std::vector<std::size_t> services = model.specialized_services();
+  writer.write_u64(services.size());
+  for (const std::size_t service : services) {
+    writer.write_u64(service);
+    writer.write_doubles(params(model.service_net(service)));
+  }
+  model.normalizer().save(writer);
+  model.auxiliary().save(writer);
+  writer.write_indices(model.unknown_features());
+}
+
+TEST(BundleCompat, Fp64ParameterBundleLoadsAndServes) {
+  auto& p = pipeline();
+  // The current writer's payload, byte for byte, pins the layout above.
+  std::stringstream current, reference;
+  util::BinaryWriter current_writer(current), reference_writer(reference);
+  p.diagnet().save(current_writer);
+  write_payload(p.diagnet(), [](double v) { return v; }, reference_writer);
+  ASSERT_EQ(current.str(), reference.str());
+
+  std::stringstream fp64;
+  util::BinaryWriter writer(fp64);
+  write_payload(p.diagnet(), off_grid, writer);
+  util::BinaryReader reader(fp64);
+  const std::unique_ptr<core::DiagNetModel> loaded =
+      core::DiagNetModel::load(reader, p.feature_space());
+  ASSERT_TRUE(loaded && loaded->trained());
+
+  // Every weight is the nearest float to its fp64 value...
+  std::vector<double> want = p.diagnet().general_net().save_parameters();
+  for (double& v : want) v = static_cast<float>(off_grid(v));
+  EXPECT_EQ(loaded->general_net().save_parameters(), want);
+
+  // ...and the bundle serves.
+  const auto faulty = p.faulty_test_indices();
+  ASSERT_FALSE(faulty.empty());
+  const auto& sample = p.split().test.samples[faulty[0]];
+  const core::DiagnoseResponse response = loaded->diagnose(
+      {sample.features, sample.service, false,
+       p.split().test.landmark_available});
+  ASSERT_TRUE(response.ok()) << response.status.message();
+  EXPECT_EQ(response.diagnosis.scores.size(), p.feature_space().total());
 }
 
 TEST(ModelRegistry, GarbageInputRejected) {

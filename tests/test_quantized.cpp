@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 
 #include "nn/coarse_net.h"
@@ -12,6 +13,7 @@
 #include "tensor/ops.h"
 #include "tests/test_helpers.h"
 #include "testkit/nets.h"
+#include "testkit/oracle.h"
 #include "util/rng.h"
 
 namespace diagnet::nn {
@@ -65,8 +67,10 @@ TEST(Quantized, ForwardMatchesSnappedFpWithinActivationBound) {
   quantized_forward(q, input, bias, got);
 
   // fp reference over the *snapped* weights: the remaining error is the
-  // activation quantization alone, bounded per row by
-  // (sx/2) * sum_i |w_snap(i, j)| plus float-rescale rounding.
+  // activation quantization, bounded per row by
+  // (sx/2) * sum_i |w_snap(i, j)|, plus the fp32 reference's own
+  // (in + 1)-term reduction and the int32 -> float rescale (three fp32
+  // ops on the result).
   snap_to_grid(q, w);
   Matrix want;
   tensor::gemm(input, w, want);
@@ -75,13 +79,18 @@ TEST(Quantized, ForwardMatchesSnappedFpWithinActivationBound) {
   for (std::size_t r = 0; r < rows; ++r) {
     double absmax = 0.0;
     for (std::size_t i = 0; i < in; ++i)
-      absmax = std::max(absmax, std::fabs(input(r, i)));
+      absmax = std::max<double>(absmax, std::fabs(input(r, i)));
     const double sx = absmax > 0.0 ? absmax / 127.0 : 1.0;
     for (std::size_t j = 0; j < out; ++j) {
-      double col_l1 = 0.0;
-      for (std::size_t i = 0; i < in; ++i) col_l1 += std::fabs(w(i, j));
+      double col_l1 = 0.0, terms = std::fabs(bias(0, j));
+      for (std::size_t i = 0; i < in; ++i) {
+        col_l1 += std::fabs(w(i, j));
+        terms += std::fabs(input(r, i) * w(i, j));
+      }
       const double bound =
-          0.5 * sx * col_l1 + 1e-5 * (std::fabs(want(r, j)) + 1.0);
+          0.5 * sx * col_l1 +
+          testkit::oracle::reduction_tol(in + 1) * terms +
+          3.0 * FLT_EPSILON * (std::fabs(want(r, j)) + 0.5 * sx * col_l1);
       EXPECT_LE(std::fabs(got(r, j) - want(r, j)), bound)
           << "row " << r << " col " << j;
     }

@@ -3,19 +3,22 @@
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 #include "tests/test_helpers.h"
+#include "testkit/oracle.h"
 
 namespace diagnet::tensor {
 namespace {
 
+namespace oracle = testkit::oracle;
 using test::random_matrix;
 
-Matrix naive_gemm(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < b.cols(); ++j)
-      for (std::size_t k = 0; k < a.cols(); ++k)
-        c(i, j) += a(i, k) * b(k, j);
-  return c;
+/// c agrees with the long-double A·B to within the fp32 error bound of
+/// its a.cols()-term reductions (oracle::reduction_tol).
+void expect_gemm(const Matrix& c, const Matrix& a, const Matrix& b) {
+  ASSERT_TRUE(c.rows() == a.rows() && c.cols() == b.cols());
+  EXPECT_LE(oracle::max_scaled_err(
+                c, oracle::gemm(a, b),
+                oracle::gemm(oracle::abs(a), oracle::abs(b))),
+            oracle::reduction_tol(a.cols()));
 }
 
 Matrix transpose(const Matrix& m) {
@@ -25,11 +28,11 @@ Matrix transpose(const Matrix& m) {
   return t;
 }
 
-void expect_near(const Matrix& a, const Matrix& b, double tol = 1e-10) {
+void expect_equal(const Matrix& a, const Matrix& b) {
   ASSERT_TRUE(a.same_shape(b));
   for (std::size_t r = 0; r < a.rows(); ++r)
     for (std::size_t c = 0; c < a.cols(); ++c)
-      EXPECT_NEAR(a(r, c), b(r, c), tol) << "at (" << r << ", " << c << ")";
+      EXPECT_EQ(a(r, c), b(r, c)) << "at (" << r << ", " << c << ")";
 }
 
 TEST(Matrix, ConstructionAndAccess) {
@@ -100,7 +103,7 @@ TEST_P(GemmSweep, MatchesNaiveReference) {
   const Matrix b = random_matrix(k, n, 200 + n);
   Matrix c;
   gemm(a, b, c);
-  expect_near(c, naive_gemm(a, b));
+  expect_gemm(c, a, b);
 }
 
 TEST_P(GemmSweep, TransposedVariantsMatchExplicitTranspose) {
@@ -110,14 +113,14 @@ TEST_P(GemmSweep, TransposedVariantsMatchExplicitTranspose) {
   const Matrix b = random_matrix(k, n, 400 + n);
   Matrix c;
   gemm_at_b(a_t, b, c);
-  expect_near(c, naive_gemm(transpose(a_t), b));
+  expect_gemm(c, transpose(a_t), b);
 
   // gemm_a_bt: B stored (n x k), computes A B^T.
   const Matrix a = random_matrix(m, k, 500 + m);
   const Matrix b_t = random_matrix(n, k, 600 + n);
   Matrix d;
   gemm_a_bt(a, b_t, d);
-  expect_near(d, naive_gemm(a, transpose(b_t)));
+  expect_gemm(d, a, transpose(b_t));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -127,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{64, 50, 24}, GemmShape{3, 128, 7}));
 
 // Edge shapes: degenerate rows/columns, empty operands, row/column vectors,
-// remainders around the 32-row blocks and the 8-column register tiles, and
+// remainders around the 32-row blocks and the 16-column register tiles, and
 // one shape big enough to cross the parallel-dispatch threshold. All paths must agree with the
 // naive reference.
 INSTANTIATE_TEST_SUITE_P(
@@ -143,11 +146,21 @@ TEST(Ops, GemmAtBAccAccumulatesIntoExistingOutput) {
   const Matrix b = random_matrix(6, 5, 22);
   Matrix c(4, 5, 1.5);
   gemm_at_b_acc(a_t, b, c);
-  Matrix expected = naive_gemm(transpose(a_t), b);
+  // Six products plus the 1.5 start: a 7-term reduction per element.
+  const Matrix a = transpose(a_t);
+  Matrix expected(4, 5), magnitude(4, 5);
   for (std::size_t r = 0; r < expected.rows(); ++r)
-    for (std::size_t col = 0; col < expected.cols(); ++col)
-      expected(r, col) += 1.5;
-  expect_near(c, expected);
+    for (std::size_t col = 0; col < expected.cols(); ++col) {
+      long double s = 1.5L, mag = 1.5L;
+      for (std::size_t k = 0; k < a.cols(); ++k) {
+        s += static_cast<long double>(a(r, k)) * b(k, col);
+        mag += std::abs(static_cast<long double>(a(r, k)) * b(k, col));
+      }
+      expected(r, col) = static_cast<float>(s);
+      magnitude(r, col) = static_cast<float>(mag);
+    }
+  EXPECT_LE(oracle::max_scaled_err(c, expected, magnitude),
+            oracle::reduction_tol(a.cols() + 1));
 }
 
 TEST(Ops, GemmAtBAccRejectsWrongShape) {
@@ -167,7 +180,7 @@ TEST(Ops, SumRowsAccAccumulates) {
 
 TEST(Matrix, ResizeReusesCapacityAndReshapes) {
   Matrix m(8, 16, 3.0);
-  const double* before = m.data();
+  const float* before = m.data();
   m.resize(4, 8);  // shrinking reshape must not reallocate
   EXPECT_EQ(m.rows(), 4u);
   EXPECT_EQ(m.cols(), 8u);
@@ -184,7 +197,7 @@ TEST(Matrix, AssignCopiesShapeAndValues) {
   Matrix dst(7, 7, 9.0);
   dst.assign(src);
   ASSERT_TRUE(dst.same_shape(src));
-  expect_near(dst, src);
+  expect_equal(dst, src);
 }
 
 TEST(Ops, GemmReusesOutputBuffer) {
@@ -192,7 +205,7 @@ TEST(Ops, GemmReusesOutputBuffer) {
   const Matrix b = random_matrix(4, 5, 2);
   Matrix c(3, 5, 99.0);  // stale content must be overwritten
   gemm(a, b, c);
-  expect_near(c, naive_gemm(a, b));
+  expect_gemm(c, a, b);
 }
 
 TEST(Ops, GemmShapeMismatchThrows) {
