@@ -117,16 +117,6 @@ std::vector<std::size_t> DiagNetModel::specialized_services() const {
   return out;
 }
 
-void DiagNetModel::set_quantized(bool on) {
-  DIAGNET_REQUIRE_MSG(trained(), "train_general() first");
-  general_->set_quantized(on);
-  for (auto& [service, net] : specialized_) net->set_quantized(on);
-}
-
-bool DiagNetModel::quantized() const {
-  return trained() && general_->quantized();
-}
-
 util::Status DiagNetModel::adopt_specialized(std::size_t service,
                                              DiagNetModel& donor) {
   if (!trained() || !donor.trained())
@@ -146,7 +136,6 @@ util::Status DiagNetModel::adopt_specialized(std::size_t service,
         "specialized head for service " + std::to_string(service) +
         " does not share this model's frozen pooling kernel (fine-tune with "
         "--freeze-kernel from the same general bundle)");
-  if (quantized()) it->second->set_quantized(true);
   specialized_[service] = std::move(it->second);
   donor.specialized_.erase(it);
   return util::Status();

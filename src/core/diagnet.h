@@ -150,12 +150,6 @@ class DiagNetModel {
   /// non-finite features).
   util::Status validate(const DiagnoseRequest& request) const;
 
-  /// Int8 inference for every FC stack — general and specialized (see
-  /// nn/quantized.h). Enabling is lossy: fp weights snap onto the int8
-  /// grid. Heads adopted later inherit the current setting.
-  void set_quantized(bool on);
-  bool quantized() const;
-
   /// Move `donor`'s specialized head for `service` into this model — the
   /// serving router uses this to merge per-service fine-tuned bundles into
   /// one serving model. Fails unless the head was fine-tuned from the same

@@ -142,14 +142,6 @@ void CoarseNet::backward_inputs(const Matrix& grad_logits,
   if (grad_land) pool_.backward_input(ws.grad_pooled, ws.pool, *grad_land);
 }
 
-void CoarseNet::set_quantized(bool on) {
-  for (Linear& layer : fc_) layer.set_quantized(on);
-}
-
-bool CoarseNet::quantized() const {
-  return !fc_.empty() && fc_.front().quantized();
-}
-
 bool CoarseNet::shares_pooling_with(const CoarseNet& other) const {
   return local_offset_ == other.local_offset_ &&
          pool_.same_parameters(other.pool_);

@@ -100,12 +100,6 @@ class CoarseNet {
   /// the service-specialisation split of paper §IV-F.
   void freeze_representation(bool frozen = true);
 
-  /// Int8 inference for the FC stack (the LandPooling kernel stays fp32 —
-  /// see nn/quantized.h). Enabling snaps the fp weights onto the int8 grid
-  /// so gradient attention differentiates the served function.
-  void set_quantized(bool on);
-  bool quantized() const;
-
   /// True when this net's LandPooling computes bit-identical pooled rows to
   /// `other`'s — the precondition for the serving router to share one
   /// pooling pass across specialized heads.

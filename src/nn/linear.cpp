@@ -20,22 +20,8 @@ Linear::Linear(std::size_t in, std::size_t out, util::Rng& rng)
 
 void Linear::forward_into(const Matrix& input, Matrix& out) const {
   DIAGNET_REQUIRE_MSG(input.cols() == in_features(), "input width mismatch");
-  if (quant_.valid()) {
-    quantized_forward(quant_, input, bias_.value, out);
-    return;
-  }
   tensor::gemm(input, weight_.value, out);
   tensor::add_row_bias(out, bias_.value);
-}
-
-void Linear::set_quantized(bool on) {
-  if (!on) {
-    quant_ = QuantizedLinear{};
-    return;
-  }
-  if (quant_.valid()) return;  // already quantized (and already snapped)
-  quant_ = quantize_weights(weight_.value);
-  snap_to_grid(quant_, weight_.value);
 }
 
 void Linear::backward_into(const Matrix& input, const Matrix& grad_output,

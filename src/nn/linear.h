@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "nn/layer.h"
-#include "nn/quantized.h"
 #include "util/rng.h"
 
 namespace diagnet::nn {
@@ -39,18 +38,9 @@ class Linear {
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
 
-  /// Int8 inference mode (see nn/quantized.h). Enabling quantizes the
-  /// current weights AND snaps the fp copy onto the int8 grid, so the fp
-  /// backward pass differentiates the function the quantized forward
-  /// serves. Disabling only drops the int8 codes — the fp weights stay
-  /// snapped (quantization is lossy; there is no way back).
-  void set_quantized(bool on);
-  bool quantized() const { return quant_.valid(); }
-
  private:
   Parameter weight_;  // (in x out)
   Parameter bias_;    // (1 x out)
-  QuantizedLinear quant_;  // int8 codes when quantized mode is on
 };
 
 }  // namespace diagnet::nn

@@ -1,9 +1,9 @@
-// Incremental line framing for the non-blocking transports: bytes arrive
-// in arbitrary chunks (whatever one read() returned), complete lines come
-// out. The contract matches what std::getline gave the thread-per-
-// connection transport — lines are split on '\n' only, the terminator is
-// not part of the line, '\r' and NUL bytes pass through untouched — so a
-// client sees byte-identical framing whichever listener it connected to.
+// Incremental line framing for the epoll reactor: bytes arrive in
+// arbitrary chunks (whatever one read() returned), complete lines come
+// out. The contract matches what std::getline gives the stdio session
+// (run_session) — lines are split on '\n' only, the terminator is not part
+// of the line, '\r' and NUL bytes pass through untouched — so a client
+// sees byte-identical framing over TCP and over stdio.
 //
 // Unlike getline, the framer enforces a maximum line length: a client
 // that streams forever without a newline would otherwise grow the read

@@ -963,14 +963,14 @@ Reactor::~Reactor() = default;
 
 util::Status Reactor::listen(std::uint16_t, std::atomic<std::uint16_t>*) {
   return util::Status::unavailable(
-      "the epoll reactor is not available on this platform; use --listener "
-      "threads");
+      "the epoll reactor is not available on this platform; use the stdio "
+      "transport (serve without --port)");
 }
 
 util::Status Reactor::run(const std::atomic<bool>&) {
   return util::Status::unavailable(
-      "the epoll reactor is not available on this platform; use --listener "
-      "threads");
+      "the epoll reactor is not available on this platform; use the stdio "
+      "transport (serve without --port)");
 }
 
 ReactorStats Reactor::stats() const { return counters_->snapshot(); }

@@ -1,14 +1,14 @@
-// Epoll reactor: the C1M-serving transport. Where run_tcp_listener spends
-// one OS thread per connection (fine for tens of sessions, hopeless for
-// the paper's fleets of mostly-idle end-user agents), the reactor holds
-// every connection in a non-blocking epoll set and multiplexes the whole
-// population over one — or a few — event-loop threads.
+// Epoll reactor: the one TCP transport of `diagnet serve --port`. Rather
+// than one OS thread per connection (fine for tens of sessions, hopeless
+// for the paper's fleets of mostly-idle end-user agents), the reactor
+// holds every connection in a non-blocking epoll set and multiplexes the
+// whole population over one — or a few — event-loop threads.
 //
 // Anatomy of one ReactorLoop:
 //  * non-blocking sockets, level-triggered epoll readiness;
 //  * per-connection read buffers with incremental line framing
 //    (serve/framing.h) — byte-identical line semantics to the getline
-//    loop of the thread transport, plus an enforced max line length;
+//    loop of the stdio session, plus an enforced max line length;
 //  * per-connection write buffers with watermark backpressure: a
 //    connection whose responses are not draining stops being *read*
 //    above write_stall_bytes (so a slow reader cannot pump unbounded
@@ -32,13 +32,13 @@
 // loop's adoption inbox + wakeup (accept-fd round-robin rather than
 // SO_REUSEPORT, so one process owns admission control and the stats).
 //
-// The service layer above (micro-batcher, hot reload, statsz) is
-// unchanged: the reactor is just another transport, selected by
-// `diagnet serve --listener epoll` (the default; `--listener threads`
-// keeps the previous behaviour for one release).
+// The service layer above (micro-batcher, hot reload, statsz) is shared
+// with the stdio session (serve/server.h): the reactor is only the TCP
+// transport.
 //
-// Linux-only (epoll); reactor_supported() reports availability and the
-// CLI falls back to the thread listener elsewhere.
+// Linux-only (epoll); reactor_supported() reports availability, and
+// elsewhere `diagnet serve --port` fails and points at the stdio
+// transport.
 #pragma once
 
 #include <atomic>
@@ -168,8 +168,8 @@ class ReactorLoop {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The multi-loop reactor transport behind `diagnet serve --listener
-/// epoll`: owns the loops, the listening socket, and the loop threads.
+/// The multi-loop reactor transport behind `diagnet serve --port`: owns
+/// the loops, the listening socket, and the loop threads.
 class Reactor {
  public:
   Reactor(DiagnosisService& service, const data::FeatureSpace& fs,

@@ -107,7 +107,6 @@ util::Status ModelRouter::build(Merged& out) const {
     checksum = fold_checksum(checksum, spec.service);
     checksum = fold_checksum(checksum, donor_info.checksum);
   }
-  if (config_.quantize) model->set_quantized(true);
 
   out.model = std::move(model);
   out.checksum = checksum;

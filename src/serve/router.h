@@ -54,7 +54,6 @@ class ModelRouter {
   struct Config {
     std::string default_path;                 // the base (general) bundle
     std::vector<ServiceModelSpec> services;   // per-service head bundles
-    bool quantize = false;                    // int8 FC stacks (--quantize)
   };
 
   /// Load every bundle, merge, and build the provider the service reads

@@ -1,7 +1,8 @@
-// Transports for the serving subsystem: a line-delimited JSON session
-// over std::istream/std::ostream (the stdio transport `diagnet serve`
-// uses by default, and what the tests drive with string streams), plus an
-// optional loopback-TCP listener on POSIX hosts.
+// The stdio transport of the serving subsystem: a line-delimited JSON
+// session over std::istream/std::ostream (what `diagnet serve` runs
+// without --port, and what the tests drive with string streams). The one
+// TCP transport is the epoll reactor (serve/reactor.h), whose line framer
+// (serve/framing.h) splits lines exactly as this session's getline does.
 //
 // A session reads one request per line, submits it to the
 // DiagnosisService, and writes one response line per request *in
@@ -39,27 +40,11 @@ struct SessionHooks {
 /// Run one stdio-style session to completion (EOF on `in`, or
 /// `stop_flag` becoming true between lines — e.g. from a SIGINT handler).
 /// Does NOT stop the service: the caller owns its lifetime, so several
-/// sessions (TCP connections) can share one service.
+/// sessions can share one service.
 SessionStats run_session(DiagnosisService& service,
                          const data::FeatureSpace& fs, std::istream& in,
                          std::ostream& out, std::size_t default_top_k = 5,
                          const std::atomic<bool>* stop_flag = nullptr,
                          const SessionHooks* hooks = nullptr);
-
-/// Loopback TCP listener: accepts connections on 127.0.0.1:`port` (0 =
-/// kernel-assigned; the chosen port is echoed on stderr and published
-/// through *bound_port when non-null — how tests and the load generator
-/// discover a kernel-assigned port) and runs one session per connection,
-/// all sharing `service`. Returns when `stop_flag` becomes true (checked
-/// between accepts) or on a fatal socket error. On non-POSIX builds
-/// returns unavailable.
-util::Status run_tcp_listener(DiagnosisService& service,
-                              const data::FeatureSpace& fs,
-                              std::uint16_t port,
-                              std::size_t default_top_k,
-                              const std::atomic<bool>& stop_flag,
-                              std::atomic<std::uint16_t>* bound_port =
-                                  nullptr,
-                              const SessionHooks* hooks = nullptr);
 
 }  // namespace diagnet::serve

@@ -105,8 +105,6 @@ std::string statsz_json(const StatszSource& source) {
     out += ",\"checksum\":\"" + checksum_hex(source.provider->checksum());
     out += "\"";
     const auto model = source.provider->current();
-    out += ",\"quantized\":";
-    out += model != nullptr && model->quantized() ? "true" : "false";
     if (model != nullptr) {
       out += ",\"specialized_services\":[";
       bool first = true;
@@ -194,8 +192,6 @@ std::string statsz_prometheus(const StatszSource& source) {
     out += "diagnet_model_info{checksum=\"" +
            checksum_hex(source.provider->checksum()) + "\"} 1\n";
     const auto model = source.provider->current();
-    emit("diagnet_model_quantized", "gauge",
-         model != nullptr && model->quantized() ? 1.0 : 0.0);
     emit("diagnet_model_specialized_services", "gauge",
          model != nullptr
              ? static_cast<double>(model->specialized_services().size())

@@ -16,12 +16,9 @@
 //    loops freely, but never an element's reduction: gemm_acc reproduces
 //    the row-at-a-time axpy groups (one ascending-k chain per element, the
 //    chain gemv builds) and gemm_bt reproduces dot, bit for bit.
-// Integer kernels (quantize_row, qgemv) are exact and therefore produce
-// identical results on every tier.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace diagnet::tensor::detail {
 
@@ -63,18 +60,8 @@ struct Kernels {
   float (*reduce_sq_dev)(const float* v, std::size_t n, float mean);
   /// max_j v[j]; -inf when n == 0
   float (*reduce_max)(const float* v, std::size_t n);
-  /// max_j |v[j]|; 0 when n == 0
-  float (*reduce_absmax)(const float* v, std::size_t n);
   /// v[j] /= denom
   void (*scale_div)(float* v, float denom, std::size_t n);
-
-  // ---- int8 quantized path (exact integer math, tier-invariant) ----
-  /// q[j] = clamp(round(x[j] * inv_scale), -127, 127)
-  void (*quantize_row)(const float* x, float inv_scale, std::int8_t* q,
-                       std::size_t n);
-  /// acc[j] += sum_i qx[i] * w[i*out + j]   (acc is caller-zeroed int32)
-  void (*qgemv)(const std::int8_t* qx, const std::int8_t* w,
-                std::size_t in, std::size_t out, std::int32_t* acc);
 };
 
 /// The portable tier (plain loops + `#pragma omp simd`, whatever the
@@ -87,11 +74,5 @@ const Kernels* avx2_kernels();
 
 /// The table selected by tensor::dispatch (cheap relaxed atomic load).
 const Kernels& active_kernels();
-
-/// Scalar quantize_row, shared verbatim by every tier: float→int8
-/// rounding must be tier-invariant so a quantized model scores the same
-/// bits whichever tier served it.
-void kernel_quantize_row(const float* x, float inv_scale, std::int8_t* q,
-                         std::size_t n);
 
 }  // namespace diagnet::tensor::detail

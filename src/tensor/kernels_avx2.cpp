@@ -375,58 +375,12 @@ DIAGNET_AVX2 float avx2_reduce_max(const float* v, std::size_t n) {
   return m;
 }
 
-DIAGNET_AVX2 float avx2_reduce_absmax(const float* v, std::size_t n) {
-  if (n < kSmallReduce) {
-    float m = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) m = std::max(m, std::fabs(v[j]));
-    return m;
-  }
-  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t j = 0;
-  for (; j + kLanes <= n; j += kLanes)
-    acc = _mm256_max_ps(acc,
-                        _mm256_andnot_ps(sign_mask, _mm256_loadu_ps(v + j)));
-  float m = hmax(acc);
-  for (; j < n; ++j) m = std::max(m, std::fabs(v[j]));
-  return std::max(m, 0.0f);
-}
-
 DIAGNET_AVX2 void avx2_scale_div(float* v, float denom, std::size_t n) {
   const __m256 vd = _mm256_set1_ps(denom);
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
     _mm256_storeu_ps(v + j, _mm256_div_ps(_mm256_loadu_ps(v + j), vd));
   for (; j < n; ++j) v[j] /= denom;
-}
-
-/// Output-blocked int8 GEMV: eight int32 accumulators stay in a register
-/// across the whole input dimension. Products fit int32 comfortably
-/// (|q| <= 127, in <= a few thousand => |acc| <= 127*127*in < 2^31).
-DIAGNET_AVX2 void avx2_qgemv(const std::int8_t* qx, const std::int8_t* w,
-                             std::size_t in, std::size_t out,
-                             std::int32_t* acc) {
-  std::size_t j0 = 0;
-  for (; j0 + 8 <= out; j0 += 8) {
-    __m256i vacc = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(acc + j0));
-    for (std::size_t i = 0; i < in; ++i) {
-      const std::int32_t xi = qx[i];
-      if (xi == 0) continue;
-      const __m128i w8 = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(w + i * out + j0));
-      const __m256i w32 = _mm256_cvtepi8_epi32(w8);
-      vacc = _mm256_add_epi32(
-          vacc, _mm256_mullo_epi32(w32, _mm256_set1_epi32(xi)));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + j0), vacc);
-  }
-  for (; j0 < out; ++j0) {
-    std::int32_t s = acc[j0];
-    for (std::size_t i = 0; i < in; ++i)
-      s += static_cast<std::int32_t>(qx[i]) * w[i * out + j0];
-    acc[j0] = s;
-  }
 }
 
 }  // namespace
@@ -436,8 +390,7 @@ const Kernels* avx2_kernels() {
       "avx2",          avx2_axpy4,      avx2_axpy1,
       avx2_gemv,       avx2_gemm_acc,   avx2_dot,
       avx2_gemm_bt,    avx2_reduce_sum,
-      avx2_reduce_sq_dev, avx2_reduce_max, avx2_reduce_absmax,
-      avx2_scale_div,  kernel_quantize_row, avx2_qgemv,
+      avx2_reduce_sq_dev, avx2_reduce_max, avx2_scale_div,
   };
   return &table;
 }

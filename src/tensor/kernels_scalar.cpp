@@ -96,41 +96,9 @@ float scalar_reduce_max(const float* v, std::size_t n) {
   return m;
 }
 
-float scalar_reduce_absmax(const float* v, std::size_t n) {
-  float m = 0.0f;
-  for (std::size_t j = 0; j < n; ++j) m = std::max(m, std::fabs(v[j]));
-  return m;
-}
-
 void scalar_scale_div(float* v, float denom, std::size_t n) {
 #pragma omp simd
   for (std::size_t j = 0; j < n; ++j) v[j] /= denom;
-}
-
-}  // namespace
-
-// Shared by both tiers: round-to-nearest-even (the IEEE default mode that
-// both std::lrint and AVX2's vroundpd use), clamped to the symmetric int8
-// range so -128 never appears and negation stays safe.
-void kernel_quantize_row(const float* x, float inv_scale, std::int8_t* q,
-                         std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const long r = std::lrint(x[j] * inv_scale);
-    q[j] = static_cast<std::int8_t>(std::clamp(r, -127L, 127L));
-  }
-}
-
-namespace {
-
-void scalar_qgemv(const std::int8_t* qx, const std::int8_t* w,
-                  std::size_t in, std::size_t out, std::int32_t* acc) {
-  for (std::size_t i = 0; i < in; ++i) {
-    const std::int32_t xi = qx[i];
-    if (xi == 0) continue;
-    const std::int8_t* wi = w + i * out;
-#pragma omp simd
-    for (std::size_t j = 0; j < out; ++j) acc[j] += xi * wi[j];
-  }
 }
 
 }  // namespace
@@ -140,8 +108,7 @@ const Kernels& scalar_kernels() {
       "scalar",          scalar_axpy4,      scalar_axpy1,
       scalar_gemv,       scalar_gemm_acc,   scalar_dot,
       scalar_gemm_bt,    scalar_reduce_sum,
-      scalar_reduce_sq_dev, scalar_reduce_max, scalar_reduce_absmax,
-      scalar_scale_div,  kernel_quantize_row, scalar_qgemv,
+      scalar_reduce_sq_dev, scalar_reduce_max, scalar_scale_div,
   };
   return table;
 }

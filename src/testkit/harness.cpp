@@ -72,7 +72,6 @@ const std::vector<Suite>& all_suites() {
        }},
       {"oracle.attention", check_attention_batch},
       {"oracle.kernel_tiers", check_kernel_tiers},
-      {"oracle.quantize", check_quantize_roundtrip},
       {"invariant.permutation",
        [](CaseContext& ctx) {
          check_pooling_permutation(ctx);

@@ -104,7 +104,7 @@ class SimConn {
 
 /// The cached tiny serving fixture behind every ReactorSim — exposed so
 /// tests can drive the same model and request pool over a *real*
-/// transport too (the cross-listener bit-exactness suite).
+/// transport too (the cross-transport bit-exactness suite).
 std::shared_ptr<core::DiagNetModel> tiny_serving_model();
 const data::FeatureSpace& tiny_serving_space();
 std::size_t tiny_faulty_count();

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "nn/quantized.h"
 #include "tensor/dispatch.h"
 #include "tensor/kernels.h"
-#include "tensor/matrix.h"
 #include "testkit/gen.h"
 #include "testkit/oracle.h"
 
@@ -92,17 +89,11 @@ void check_one_tier(CaseContext& ctx, const Kernels& K, std::size_t n,
   check_reduction(ctx, K.reduce_sq_dev(a.data(), n, mean), want_sq, want_sq,
                   n + 2, "reduce_sq_dev" + tag);
 
-  // reduce_max / reduce_absmax are exact (no rounding), and the n == 0
-  // edge is part of the contract: -inf and 0 respectively.
+  // reduce_max is exact (no rounding), and the n == 0 edge is part of the
+  // contract: -inf.
   float want_max = -std::numeric_limits<float>::infinity();
-  float want_absmax = 0.0f;
-  for (const float x : a) {
-    want_max = std::max(want_max, x);
-    want_absmax = std::max(want_absmax, std::fabs(x));
-  }
+  for (const float x : a) want_max = std::max(want_max, x);
   ctx.check(K.reduce_max(a.data(), n) == want_max, "reduce_max" + tag);
-  ctx.check(K.reduce_absmax(a.data(), n) == want_absmax,
-            "reduce_absmax" + tag);
 
   // axpy1 vs a long-double reference: one product and one sum per lane.
   const auto alpha = static_cast<float>(rng.normal());
@@ -234,103 +225,6 @@ void check_kernel_tiers(CaseContext& ctx) {
   for (const auto& s : shapes) {
     ctx.begin_case();
     for (const Kernels* K : tiers) check_gemv_tier(ctx, *K, s.k, s.n, rng);
-  }
-}
-
-void check_quantize_roundtrip(CaseContext& ctx) {
-  util::Rng& rng = ctx.rng;
-  const std::vector<const Kernels*> tiers = runnable_tiers();
-
-  ctx.begin_case();
-  const std::size_t in = gen::dim(rng, 1, 48);
-  const std::size_t out = gen::dim(rng, 1, 24);
-  tensor::Matrix weight = gen::matrix(rng, in, out, 2.0);
-  // Force one all-zero column: its scale must fall back to 1 (never a
-  // divide-by-zero) and its codes must all be zero.
-  const std::size_t zero_col = rng.uniform_index(out);
-  for (std::size_t i = 0; i < in; ++i) weight(i, zero_col) = 0.0f;
-
-  const nn::QuantizedLinear q = nn::quantize_weights(weight);
-  ctx.check(q.valid() && q.in == in && q.out == out, "quantized dims");
-
-  for (std::size_t j = 0; j < out; ++j) {
-    const double s = q.scales[j];
-    ctx.check(s > 0.0, "scale positive j=" + std::to_string(j));
-    for (std::size_t i = 0; i < in; ++i) {
-      const int code = q.weights[i * out + j];
-      ctx.check(code >= -127 && code <= 127, "code range");
-      // Round-to-nearest bound: |w - q*s| <= s/2, plus the rounding of
-      // w·(1/s) before lrint: two fp32 ops, |w| <= 127s, so 2·127·u·s.
-      const double err = std::fabs(weight(i, j) - code * s);
-      ctx.check(err <= s * (0.5 + 127.0 * FLT_EPSILON),
-                "round-trip bound i=" + std::to_string(i) +
-                    " j=" + std::to_string(j));
-    }
-    if (j == zero_col) {
-      ctx.check(s == 1.0, "zero column scale falls back to 1");
-      bool all_zero = true;
-      for (std::size_t i = 0; i < in; ++i)
-        all_zero = all_zero && q.weights[i * out + j] == 0;
-      ctx.check(all_zero, "zero column codes are zero");
-    }
-  }
-
-  // Empty matrices quantize to an inert result.
-  ctx.check(!nn::quantize_weights(tensor::Matrix(0, 4)).valid(),
-            "empty weight is invalid");
-
-  // quantize_row and qgemv are exact integer kernels: every tier must
-  // match a naive int64 reference bit-for-bit, including in == 0.
-  ctx.begin_case();
-  const std::vector<float> x = vec(rng, in, 3.0);
-  const float absmax = std::fabs(*std::max_element(
-      x.begin(), x.end(),
-      [](float l, float r) { return std::fabs(l) < std::fabs(r); }));
-  const float sx = absmax > 0.0f ? absmax / 127.0f : 1.0f;
-  const float inv_sx = 1.0f / sx;
-  std::vector<std::int8_t> want_q(in);
-  for (std::size_t i = 0; i < in; ++i)
-    want_q[i] = static_cast<std::int8_t>(
-        std::clamp(std::lrint(x[i] * inv_sx), -127L, 127L));
-  for (const Kernels* K : tiers) {
-    std::vector<std::int8_t> got_q(in);
-    K->quantize_row(x.data(), inv_sx, got_q.data(), in);
-    ctx.check(got_q == want_q,
-              std::string("quantize_row exact [") + K->name + "]");
-
-    std::vector<std::int32_t> acc(out, 0);
-    K->qgemv(want_q.data(), q.weights.data(), in, out, acc.data());
-    bool exact = true;
-    for (std::size_t j = 0; j < out; ++j) {
-      std::int64_t want = 0;
-      for (std::size_t i = 0; i < in; ++i)
-        want += static_cast<std::int64_t>(want_q[i]) * q.weights[i * out + j];
-      exact = exact && acc[j] == want;
-    }
-    ctx.check(exact, std::string("qgemv exact [") + K->name + "]");
-
-    std::vector<std::int32_t> empty_acc(out, 7);
-    K->qgemv(want_q.data(), q.weights.data(), 0, out, empty_acc.data());
-    bool untouched = true;
-    for (std::int32_t v : empty_acc) untouched = untouched && v == 7;
-    ctx.check(untouched, std::string("qgemv in=0 no-op [") + K->name + "]");
-  }
-
-  // Tier-invariance of the full forward: the int8 path must produce the
-  // same bits whichever tier served it (quantized.h contract).
-  if (tiers.size() > 1) {
-    ctx.begin_case();
-    const tensor::Matrix input = gen::matrix(rng, 3, in, 2.0);
-    const tensor::Matrix bias = gen::matrix(rng, 1, out);
-    tensor::Matrix out_scalar, out_avx2;
-    const bool forced =
-        tensor::force_kernel_tier(tensor::KernelTier::kScalar);
-    nn::quantized_forward(q, input, bias, out_scalar);
-    if (forced) tensor::force_kernel_tier(tensor::KernelTier::kAvx2);
-    nn::quantized_forward(q, input, bias, out_avx2);
-    tensor::reset_kernel_tier();
-    ctx.check(oracle::max_abs_diff(out_scalar, out_avx2) == 0.0,
-              "quantized_forward bitwise tier-invariant");
   }
 }
 

@@ -3,7 +3,7 @@
 // build and CPU have it) against long-double reference loops, across
 // randomized spans that cross the vector-width and small-n thresholds —
 // including the zero-length edge — plus the structural bit-exactness
-// contracts from kernels.h and the int8 quantization bounds.
+// contracts from kernels.h.
 #pragma once
 
 #include "testkit/harness.h"
@@ -14,10 +14,5 @@ namespace diagnet::testkit {
 /// long-double references; axpy4 == 4x axpy1 and gemv == grouped axpy
 /// bit-identity within a tier; scalar-vs-avx2 agreement to sum tolerance.
 void check_kernel_tiers(CaseContext& ctx);
-
-/// quantize_weights / quantize_row round-trip bounds (|w - q*s| <= s/2),
-/// qgemv exactness vs an int64 reference on every tier, and bitwise
-/// tier-invariance of nn::quantized_forward.
-void check_quantize_roundtrip(CaseContext& ctx);
 
 }  // namespace diagnet::testkit

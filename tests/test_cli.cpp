@@ -61,6 +61,19 @@ TEST(Cli, TrailingFlagWithoutValueFailsLoudly) {
             std::string::npos);
 }
 
+// Flags of deleted features must fail loudly, never be silently ignored.
+TEST(Cli, ServeListenerFlagIsUnknown) {
+  const CliResult r = run_cli("serve --listener threads");
+  EXPECT_NE(r.exit_code, 0);
+  EXPECT_NE(r.output.find("unknown flag"), std::string::npos);
+}
+
+TEST(Cli, EvaluateQuantizeFlagIsUnknown) {
+  const CliResult r = run_cli("evaluate --quantize");
+  EXPECT_NE(r.exit_code, 0);
+  EXPECT_NE(r.output.find("unknown flag"), std::string::npos);
+}
+
 TEST(Cli, MissingCampaignFileExitsNonZeroWithError) {
   const CliResult r =
       run_cli("evaluate --campaign /nonexistent/campaign.csv");

@@ -3,21 +3,21 @@
 // edge case — idle timeout, backpressure stall/resume, slow-reader close,
 // oversized lines, the connection cap, graceful drain — runs on socketpair
 // connections and an injectable fake clock, with zero sleeps in the
-// reactor-side assertions. The real-TCP suites at the bottom pin the
-// cross-listener contract (epoll and thread listeners answer
-// byte-identically) and the thread listener's session reaping.
+// reactor-side assertions. The real-TCP suite at the bottom pins the
+// cross-transport contract: the stdio session and the reactor answer the
+// same request pool byte-identically.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/diagnet.h"
-#include "obs/obs.h"
 #include "serve/reactor.h"
 #include "serve/server.h"
 #include "serve/service.h"
@@ -351,10 +351,10 @@ TEST(ReactorSim, StopFlagDrainsInFlightResponsesBeforeClosing) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-listener bit-exactness over real TCP
+// Cross-transport bit-exactness: stdio session vs the reactor over TCP
 
 /// Blocking loopback client: connect, send every line, half-close, read
-/// to EOF. Both listeners answer in submission order and close after the
+/// to EOF. The reactor answers in submission order and closes after the
 /// drain, so "read to EOF" collects exactly the full response sequence.
 std::vector<std::string> exchange_over_tcp(
     std::uint16_t port, const std::vector<std::string>& lines) {
@@ -402,7 +402,7 @@ std::vector<std::string> exchange_over_tcp(
   return out;
 }
 
-TEST(CrossListener, EpollAndThreadListenersAnswerByteIdentically) {
+TEST(CrossTransport, StdioSessionAndReactorAnswerByteIdentically) {
   auto provider =
       std::make_shared<serve::ModelProvider>(testkit::tiny_serving_model());
   serve::ServiceConfig config;
@@ -418,23 +418,20 @@ TEST(CrossListener, EpollAndThreadListenersAnswerByteIdentically) {
   pool.push_back("this is not json");
   pool.push_back("{\"id\":99,\"features\":[1,2,3]}");
 
-  // Listener A: the thread-per-connection transport.
-  std::vector<std::string> via_threads;
+  // Transport A: the stdio session over string streams.
+  std::vector<std::string> via_stdio;
   {
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint16_t> bound{0};
-    std::thread listener([&] {
-      const util::Status status = serve::run_tcp_listener(
-          service, fs, /*port=*/0, /*default_top_k=*/5, stop, &bound);
-      EXPECT_TRUE(status.ok()) << status.to_string();
-    });
-    while (bound.load() == 0) std::this_thread::sleep_for(milliseconds(1));
-    via_threads = exchange_over_tcp(bound.load(), pool);
-    stop.store(true);
-    listener.join();
+    std::string all;
+    for (const std::string& line : pool) all += line + "\n";
+    std::istringstream in(all);
+    std::ostringstream out;
+    serve::run_session(service, fs, in, out, /*default_top_k=*/5);
+    std::istringstream answers(out.str());
+    for (std::string line; std::getline(answers, line);)
+      via_stdio.push_back(line);
   }
 
-  // Listener B: the epoll reactor, same service, same pool.
+  // Transport B: the epoll reactor, same service, same pool.
   std::vector<std::string> via_epoll;
   {
     serve::Reactor reactor(service, fs, serve::ReactorConfig{});
@@ -454,64 +451,12 @@ TEST(CrossListener, EpollAndThreadListenersAnswerByteIdentically) {
 
   // Same number of responses, in submission order, and — modulo the
   // volatile latency/request_id/trace suffix — byte-identical bodies.
-  ASSERT_EQ(via_threads.size(), pool.size());
+  ASSERT_EQ(via_stdio.size(), pool.size());
   ASSERT_EQ(via_epoll.size(), pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     SCOPED_TRACE("response " + std::to_string(i));
-    EXPECT_EQ(canonical(via_epoll[i]), canonical(via_threads[i]));
+    EXPECT_EQ(canonical(via_epoll[i]), canonical(via_stdio[i]));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Thread-listener session reaping (regression)
-
-TEST(ThreadListener, ReapsFinishedSessionsWhileStillAccepting) {
-  // Telemetry on, registry zeroed, so the serve.tcp_sessions gauge below
-  // is this test's own.
-  obs::Registry::instance().reset_for_test();
-  obs::set_enabled(true);
-
-  auto provider =
-      std::make_shared<serve::ModelProvider>(testkit::tiny_serving_model());
-  serve::DiagnosisService service(provider);
-  const data::FeatureSpace& fs = testkit::tiny_serving_space();
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint16_t> bound{0};
-  std::thread listener([&] {
-    const util::Status status = serve::run_tcp_listener(
-        service, fs, /*port=*/0, /*default_top_k=*/5, stop, &bound);
-    EXPECT_TRUE(status.ok()) << status.to_string();
-  });
-  while (bound.load() == 0) std::this_thread::sleep_for(milliseconds(1));
-
-  // A few short-lived sessions, strictly sequential, each fully closed
-  // before the next — the regression was that their threads were only
-  // joined at listener shutdown, so a long-lived listener accumulated one
-  // zombie thread per connection ever served.
-  for (int i = 0; i < 3; ++i) {
-    const auto responses = exchange_over_tcp(
-        bound.load(), {testkit::tiny_request_line(i, i + 1)});
-    ASSERT_EQ(responses.size(), 1u);
-    EXPECT_NE(responses[0].find("\"ok\":true"), std::string::npos);
-  }
-
-  // With the listener still accepting, the session gauge must return to
-  // zero once the accept loop's next reap pass runs (≤ ~100 ms away).
-  bool reaped = false;
-  for (int i = 0; i < 300 && !reaped; ++i) {
-    reaped =
-        obs::Registry::instance().gauge("serve.tcp_sessions").value() == 0.0;
-    if (!reaped) std::this_thread::sleep_for(milliseconds(10));
-  }
-  EXPECT_TRUE(reaped)
-      << "finished sessions were not reaped while the listener ran";
-
-  stop.store(true);
-  listener.join();
-  service.stop();
-  obs::set_enabled(false);
-  obs::Registry::instance().reset_for_test();
 }
 
 #else  // !__linux__

@@ -26,6 +26,7 @@
 #include "obs/obs.h"
 #include "serve/json.h"
 #include "serve/loadgen.h"
+#include "serve/reactor.h"
 #include "serve/router.h"
 #include "serve/server.h"
 #include "serve/service.h"
@@ -707,9 +708,9 @@ TEST(Server, InBandStatszAnswersWhileRequestsAreInFlight) {
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
 }
 
-#if defined(__unix__) || defined(__APPLE__)
+#if defined(__linux__)
 
-TEST(Server, LoadgenDrivesTcpListenerEndToEnd) {
+TEST(Server, LoadgenDrivesReactorEndToEnd) {
   auto& p = pipeline();
   const std::vector<std::size_t> indices = p.faulty_test_indices();
 
@@ -724,16 +725,15 @@ TEST(Server, LoadgenDrivesTcpListenerEndToEnd) {
   serve::SessionHooks hooks;
   hooks.statsz = [&source] { return serve::statsz_json(source); };
 
-  std::atomic<bool> stop{false};
+  serve::Reactor reactor(service, p.feature_space(), serve::ReactorConfig{},
+                         &hooks);
   std::atomic<std::uint16_t> bound_port{0};
-  std::thread listener([&] {
-    const util::Status status =
-        serve::run_tcp_listener(service, p.feature_space(), /*port=*/0, 5,
-                                stop, &bound_port, &hooks);
+  ASSERT_TRUE(reactor.listen(/*port=*/0, &bound_port).ok());
+  std::atomic<bool> stop{false};
+  std::thread runner([&] {
+    const util::Status status = reactor.run(stop);
     EXPECT_TRUE(status.ok()) << status.to_string();
   });
-  while (bound_port.load() == 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   serve::LoadgenConfig loadgen;
   loadgen.port = bound_port.load();
@@ -760,11 +760,11 @@ TEST(Server, LoadgenDrivesTcpListenerEndToEnd) {
   EXPECT_NE(probed->find("queue_depth"), nullptr);
 
   stop.store(true);
-  listener.join();
+  runner.join();
   service.stop();
 }
 
-#endif  // __unix__ || __APPLE__
+#endif  // __linux__
 
 // ---------------------------------------------------------------------------
 // Per-service specialized-model router

@@ -383,8 +383,6 @@ int cmd_diagnose(const util::ParsedArgs& args) {
 const util::ArgSpec kEvaluateArgs[] = {
     {"campaign", util::ArgType::kString, "campaign.csv", "input campaign (CSV file or chunked dir)"},
     {"model", util::ArgType::kString, "model.bin", "trained model bundle"},
-    {"quantize", util::ArgType::kFlag, "",
-     "int8-quantize the FC stacks before evaluating"},
 };
 
 int cmd_evaluate(const util::ParsedArgs& args) {
@@ -425,7 +423,6 @@ int cmd_evaluate(const util::ParsedArgs& args) {
     return 1;
   }
   const auto model = std::move(model_or).value();
-  if (args.flag("quantize")) model->set_quantized(true);
   const core::BatchDiagnoser batcher(*model);
   std::vector<core::DiagnoseResponse> responses = batcher.run(requests);
   std::vector<std::vector<std::size_t>> rankings;
@@ -501,19 +498,14 @@ const util::ArgSpec kServeArgs[] = {
     {"model", util::ArgType::kString, "model.bin", "trained bundle to serve"},
     {"port", util::ArgType::kUint, "0",
      "loopback TCP port (0 = line-JSON over stdin/stdout)"},
-    {"listener", util::ArgType::kString, "epoll",
-     "TCP transport: 'epoll' (event-loop reactor, default) or 'threads' "
-     "(one thread per connection)"},
     {"loops", util::ArgType::kUint, "1",
      "epoll event-loop threads (loop 0 accepts and deals round-robin)"},
     {"max-conns", util::ArgType::kUint, "100000",
-     "connection cap; accepts beyond it get one error line (epoll only)"},
+     "connection cap; accepts beyond it get one error line"},
     {"idle-timeout-s", util::ArgType::kDouble, "0",
-     "close connections with no traffic for this long (0 = never; epoll "
-     "only)"},
+     "close connections with no traffic for this long (0 = never)"},
     {"max-line-bytes", util::ArgType::kUint, "1048576",
-     "request-line length cap before the connection is closed (epoll "
-     "only)"},
+     "request-line length cap before the connection is closed"},
     {"max-batch", util::ArgType::kUint, "64",
      "max requests fused into one batch"},
     {"max-delay-us", util::ArgType::kUint, "2000",
@@ -526,8 +518,6 @@ const util::ArgSpec kServeArgs[] = {
      "causes per response when the request does not say"},
     {"service-models", util::ArgType::kString, "",
      "comma-separated id:path specialised head bundles merged onto --model"},
-    {"quantize", util::ArgType::kFlag, "",
-     "serve int8-quantized FC stacks (fp32 LandPooling kernel)"},
     {"watch", util::ArgType::kFlag, "",
      "poll --model for newer bundles and hot-swap them atomically"},
     {"watch-interval-ms", util::ArgType::kUint, "500",
@@ -548,16 +538,6 @@ int cmd_serve(const util::ParsedArgs& args) {
     std::cerr << "error: --port/--admin-port must be <= 65535\n";
     return 1;
   }
-  std::string listener = args.str("listener");
-  if (listener != "epoll" && listener != "threads") {
-    std::cerr << "error: --listener must be 'epoll' or 'threads'\n";
-    return 1;
-  }
-  if (listener == "epoll" && !serve::reactor_supported()) {
-    std::cerr << "serve: epoll is unavailable on this platform; falling "
-                 "back to --listener threads\n";
-    listener = "threads";
-  }
 
   const netsim::Topology topology = netsim::default_topology();
   const data::FeatureSpace fs(topology);
@@ -567,18 +547,16 @@ int cmd_serve(const util::ParsedArgs& args) {
     return 1;
   }
 
-  // With --service-models or --quantize the model is owned by a
-  // ModelRouter: it merges the general bundle with every per-service head
-  // and republishes the whole merge in one provider swap, so a reload can
-  // never mix bundle generations. Otherwise the plain single-file provider
-  // is used, exactly as before.
+  // With --service-models the model is owned by a ModelRouter: it merges
+  // the general bundle with every per-service head and republishes the
+  // whole merge in one provider swap, so a reload can never mix bundle
+  // generations. Otherwise the plain single-file provider is used.
   std::shared_ptr<serve::ModelProvider> provider;
   std::shared_ptr<serve::ModelRouter> router;
-  if (!specs_or.value().empty() || args.flag("quantize")) {
+  if (!specs_or.value().empty()) {
     serve::ModelRouter::Config router_config;
     router_config.default_path = model_path;
     router_config.services = std::move(specs_or).value();
-    router_config.quantize = args.flag("quantize");
     auto router_or = serve::ModelRouter::create(router_config, fs);
     if (!router_or.ok()) {
       std::cerr << "error: " << router_or.status().message() << '\n';
@@ -586,10 +564,9 @@ int cmd_serve(const util::ParsedArgs& args) {
     }
     router = std::move(router_or).value();
     provider = router->provider();
-    if (!router_config.services.empty())
-      std::cerr << "serve: merged " << router_config.services.size()
-                << " specialised head bundle(s) onto the general model ("
-                << router->services().size() << " routable service(s))\n";
+    std::cerr << "serve: merged " << router_config.services.size()
+              << " specialised head bundle(s) onto the general model ("
+              << router->services().size() << " routable service(s))\n";
   } else {
     auto provider_or = serve::ModelProvider::from_file(model_path, fs);
     if (!provider_or.ok()) {
@@ -599,8 +576,7 @@ int cmd_serve(const util::ParsedArgs& args) {
     provider = std::move(provider_or).value();
   }
   std::cerr << "serve: kernel tier " << tensor::active_kernel_tier_name()
-            << " (cpu " << tensor::cpu_features_string() << ')'
-            << (args.flag("quantize") ? ", int8 FC stacks" : "") << '\n';
+            << " (cpu " << tensor::cpu_features_string() << ")\n";
 
   serve::ServiceConfig config;
   config.max_batch = args.uint("max-batch");
@@ -627,7 +603,7 @@ int cmd_serve(const util::ParsedArgs& args) {
   // Built up front (and registered with statsz before the admin listener
   // thread starts) so a scrape never races the transport choice below.
   std::unique_ptr<serve::Reactor> reactor;
-  if (args.uint("port") != 0 && listener == "epoll") {
+  if (args.uint("port") != 0) {
     serve::ReactorConfig reactor_config;
     reactor_config.loops = std::max<std::size_t>(args.uint("loops"), 1);
     reactor_config.max_connections =
@@ -715,10 +691,6 @@ int cmd_serve(const util::ParsedArgs& args) {
     session_stats.requests = rstats.requests;
     session_stats.responses = rstats.responses;
     session_stats.errors = rstats.protocol_errors;
-  } else if (args.uint("port") != 0) {
-    listen_status = serve::run_tcp_listener(
-        service, fs, static_cast<std::uint16_t>(args.uint("port")), top_k,
-        g_interrupted, nullptr, &hooks);
   } else {
     std::cerr << "serve: reading line-JSON requests from stdin "
                  "(EOF or SIGINT drains and exits)\n";
