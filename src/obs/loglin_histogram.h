@@ -1,11 +1,8 @@
-// HDR-style log-linear histogram for live tail latency: fixed buckets,
-// bounded memory, lock-free recording, mergeable snapshots.
-//
-// Why a second histogram type next to obs::Histogram? The reservoir
-// histogram keeps at most 4096 samples, so over a million-request serving
-// run the p999 is estimated from ~4 surviving tail samples — useless for
-// the SLO gates the serving PRs are measured by. This histogram instead
-// counts every observation into one of ~3.3k fixed buckets:
+// HDR-style log-linear histogram, the one histogram family of the
+// telemetry registry: fixed buckets, bounded memory, lock-free recording,
+// mergeable snapshots. Every DIAGNET_OBSERVE metric and every span's
+// "<name>.ms" histogram is one of these; loadgen uses it client-side.
+// Each observation is counted into one of ~3.3k fixed buckets:
 //
 //  * log-linear layout — each power-of-two "major" bucket [2^e, 2^(e+1))
 //    is split into 64 linear sub-buckets, so the half-bucket-width error
@@ -14,15 +11,10 @@
 //    the p999 over millions of samples is as accurate as the p50.
 //  * lock-free hot path — observe() is one relaxed atomic increment plus
 //    a handful of relaxed CAS updates (count/sum/min/max); it never takes
-//    the registry mutex, so serving-path recording cannot serialise the
-//    threads it is timing.
+//    the registry mutex, so recording cannot serialise the threads it is
+//    timing — cheap enough to leave on while serving.
 //  * mergeable — Snapshot::merge() adds bucket counts, so per-connection
 //    loadgen recorders can be combined into one exact distribution.
-//
-// When to use which (also in README "Observability"): reservoir
-// `Histogram` for batch-job stage timings where a few thousand samples
-// describe the distribution; `LogLinearHistogram` for anything long-lived
-// or tail-sensitive (all `serve.*` latency metrics, loadgen).
 #pragma once
 
 #include <array>

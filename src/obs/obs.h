@@ -1,48 +1,34 @@
 // Umbrella header + instrumentation macros for the telemetry subsystem.
 //
-// Instrumented code uses ONLY these macros, never the classes directly, so
-// a build with -DDIAGNET_OBS_DISABLE compiles every probe out entirely
-// (macro arguments are not evaluated — keep them side-effect free). In a
-// normal build the probes still cost only one relaxed atomic load while
-// telemetry is off (the default); see telemetry.h for the runtime switch.
+// Instrumented code uses ONLY these macros, never the classes directly.
+// The probes cost one relaxed atomic load while telemetry is off (the
+// default); see telemetry.h for the runtime switch.
 //
 // Hot-path contract: `name` must be a string literal (one fixed name per
 // call site). Each macro caches its metric pointer in a function-local
-// static on first use, so steady-state recording is ONE atomic operation —
-// the registry mutex and its linear name scan are paid once per call site,
+// static on first use, so steady-state recording is lock-free — the
+// registry mutex and its linear name scan are paid once per call site,
 // not once per event. Metric objects live for the process lifetime
 // (Registry::reset_for_test zeroes values, never destroys entries), so the
-// cached reference cannot dangle. For dynamic names, call the obs::count /
-// observe / gauge_set helpers directly and pay the lookup.
+// cached reference cannot dangle. Every histogram is a LogLinearHistogram.
 //
 //   DIAGNET_SPAN("pipeline.train");          // RAII scope timer
 //   DIAGNET_COUNT("diagnose.calls");         // counter += 1
 //   DIAGNET_COUNT_N("agent.probes", sent);   // counter += n
 //   DIAGNET_GAUGE_SET("trainer.best_val_loss", loss);
-//   DIAGNET_OBSERVE("diagnose.latency_ms", ms);  // reservoir histogram
-//   DIAGNET_OBSERVE_TAIL("serve.latency_ms", ms);  // log-linear tails
+//   DIAGNET_OBSERVE("serve.latency_ms", ms);  // histogram
 #pragma once
 
 #include "obs/report.h"
 #include "obs/telemetry.h"
 
-#if defined(DIAGNET_OBS_DISABLE)
-
-#define DIAGNET_SPAN(name) ((void)0)
-#define DIAGNET_COUNT(name) ((void)0)
-#define DIAGNET_COUNT_N(name, n) ((void)0)
-#define DIAGNET_GAUGE_SET(name, value) ((void)0)
-#define DIAGNET_OBSERVE(name, value) ((void)0)
-#define DIAGNET_OBSERVE_TAIL(name, value) ((void)0)
-
-#else
-
 #define DIAGNET_OBS_CONCAT_INNER(a, b) a##b
 #define DIAGNET_OBS_CONCAT(a, b) DIAGNET_OBS_CONCAT_INNER(a, b)
 
 // The span's "<name>.ms" histogram pointer is cached in the static
-// SpanSite, so closing a span is a clock read + one histogram insert — no
-// registry lookup, no string concatenation.
+// SpanSite, so closing a span is a clock read + one lock-free histogram
+// insert — no registry lookup, no string concatenation — plus a trace
+// event only while a trace path is configured.
 #define DIAGNET_SPAN(name)                                                \
   static ::diagnet::obs::SpanSite DIAGNET_OBS_CONCAT(diagnet_obs_site_,   \
                                                      __LINE__){name};     \
@@ -71,19 +57,8 @@
 #define DIAGNET_OBSERVE(name, value)                                      \
   do {                                                                    \
     if (::diagnet::obs::enabled()) {                                      \
-      static ::diagnet::obs::Histogram& diagnet_obs_metric =              \
+      static ::diagnet::obs::LogLinearHistogram& diagnet_obs_metric =     \
           ::diagnet::obs::Registry::instance().histogram(name);           \
       diagnet_obs_metric.observe(static_cast<double>(value));             \
     }                                                                     \
   } while (0)
-
-#define DIAGNET_OBSERVE_TAIL(name, value)                                 \
-  do {                                                                    \
-    if (::diagnet::obs::enabled()) {                                      \
-      static ::diagnet::obs::LogLinearHistogram& diagnet_obs_metric =     \
-          ::diagnet::obs::Registry::instance().tail_histogram(name);      \
-      diagnet_obs_metric.observe(static_cast<double>(value));             \
-    }                                                                     \
-  } while (0)
-
-#endif  // DIAGNET_OBS_DISABLE

@@ -19,6 +19,10 @@
 
 namespace diagnet::obs {
 
+namespace detail {
+void set_trace_sink(bool configured);  // telemetry.cpp
+}  // namespace detail
+
 namespace {
 
 struct ExitReport {
@@ -70,28 +74,9 @@ std::string render_summary() {
 
   const auto histograms = registry.histograms();
   if (!histograms.empty()) {
-    util::Table table({"histogram", "count", "mean", "p50", "p95", "p99",
-                       "max", "total"});
+    util::Table table({"histogram", "count", "mean", "p50", "p90", "p99",
+                       "p999", "max", "total"});
     for (const auto& [name, snap] : histograms) {
-      if (snap.stats.count() == 0) continue;
-      table.add_row({name, std::to_string(snap.stats.count()),
-                     util::fmt(snap.stats.mean(), 3),
-                     util::fmt(snap.percentile(0.50), 3),
-                     util::fmt(snap.percentile(0.95), 3),
-                     util::fmt(snap.percentile(0.99), 3),
-                     util::fmt(snap.stats.max(), 3),
-                     util::fmt(snap.stats.mean() *
-                                   static_cast<double>(snap.stats.count()),
-                               3)});
-    }
-    out += table.to_string();
-  }
-
-  const auto tails = registry.tail_histograms();
-  if (!tails.empty()) {
-    util::Table table({"tail histogram", "count", "mean", "p50", "p90",
-                       "p99", "p999", "max"});
-    for (const auto& [name, snap] : tails) {
       if (snap.count == 0) continue;
       table.add_row({name, std::to_string(snap.count),
                      util::fmt(snap.mean(), 3),
@@ -99,7 +84,7 @@ std::string render_summary() {
                      util::fmt(snap.percentile(0.90), 3),
                      util::fmt(snap.percentile(0.99), 3),
                      util::fmt(snap.percentile(0.999), 3),
-                     util::fmt(snap.max, 3)});
+                     util::fmt(snap.max, 3), util::fmt(snap.sum, 3)});
     }
     out += table.to_string();
   }
@@ -115,8 +100,7 @@ std::string render_summary() {
     out += table.to_string();
   }
 
-  if (histograms.empty() && tails.empty() && counters.empty() &&
-      gauges.empty())
+  if (histograms.empty() && counters.empty() && gauges.empty())
     out += "(no telemetry recorded)\n";
   return out;
 }
@@ -145,27 +129,6 @@ std::string metrics_to_json() {
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, snap] : registry.histograms()) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    append_json_escaped(out, name);
-    out += "\":{\"count\":" + std::to_string(snap.stats.count());
-    const std::pair<const char*, double> fields[] = {
-        {"mean", snap.stats.mean()},       {"min", snap.stats.min()},
-        {"max", snap.stats.max()},         {"stddev", snap.stats.stddev()},
-        {"p50", snap.percentile(0.50)},    {"p95", snap.percentile(0.95)},
-        {"p99", snap.percentile(0.99)}};
-    for (const auto& [key, value] : fields) {
-      out += ",\"";
-      out += key;
-      out += "\":";
-      append_json_number(out, value);
-    }
-    out += '}';
-  }
-  out += "},\"tail_histograms\":{";
-  first = true;
-  for (const auto& [name, snap] : registry.tail_histograms()) {
     if (!first) out += ',';
     first = false;
     out += '"';
@@ -239,6 +202,7 @@ void configure_exit_report(const std::string& trace_path,
   report.trace_path = trace_path;
   report.metrics_path = metrics_path;
   report.print_summary = print_summary;
+  detail::set_trace_sink(!trace_path.empty());
   if (!trace_path.empty() || !metrics_path.empty() || print_summary)
     set_enabled(true);
   if (!report.hook_installed) {

@@ -9,15 +9,14 @@
 namespace diagnet::obs {
 
 /// Render every counter, gauge and histogram currently in the registry as
-/// banner + ASCII tables. Reservoir histograms report count / mean / p50 /
-/// p95 / p99 / max / total; tail (log-linear) histograms report count /
-/// mean / p50 / p90 / p99 / p999 / max.
+/// banner + ASCII tables. Histograms report count / mean / p50 / p90 /
+/// p99 / p999 / max / total.
 std::string render_summary();
 
 /// Same content as JSON:
 ///   {"counters": {...}, "gauges": {...},
-///    "histograms": {"name": {"count":..,"mean":..,"p50":..,...}, ...},
-///    "tail_histograms": {"name": {"count":..,"p50":..,"p999":..}, ...}}
+///    "histograms": {"name": {"count":..,"mean":..,"min":..,"max":..,
+///                            "p50":..,"p90":..,"p99":..,"p999":..}, ...}}
 std::string metrics_to_json();
 
 /// Run metadata shared by every BENCH_*.json emitter so perf trajectories
@@ -38,7 +37,8 @@ bool write_metrics_file(const std::string& path);
 ///  * metrics_path != "" — write metrics_to_json() there,
 ///  * print_summary — print render_summary() to stdout.
 /// Each call overwrites the previous configuration; enabling any sink also
-/// turns telemetry on.
+/// turns telemetry on. Spans buffer trace events only while trace_path is
+/// non-empty, so a run without a trace sink holds no event buffer.
 void configure_exit_report(const std::string& trace_path,
                            const std::string& metrics_path,
                            bool print_summary);

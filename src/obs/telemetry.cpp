@@ -1,7 +1,6 @@
 #include "obs/telemetry.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -11,6 +10,8 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 std::atomic<bool> g_force_disabled{false};
+/// True while a trace path is configured; spans buffer events only then.
+std::atomic<bool> g_trace_sink{false};
 
 /// Monotonic process epoch shared by every span so trace timestamps align.
 std::chrono::steady_clock::time_point process_epoch() {
@@ -64,7 +65,7 @@ ThreadTraceBuffer& local_trace_buffer() {
 
 }  // namespace
 
-void append_json_escaped(std::string& out, const std::string& s) {
+void append_json_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -109,44 +110,6 @@ void set_force_disabled(bool force) {
   if (force) g_enabled.store(false, std::memory_order_relaxed);
 }
 
-void Histogram::observe(double v) {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.add(v);
-  if (samples_.size() < kReservoirCap) {
-    samples_.push_back(v);
-    return;
-  }
-  // splitmix64 step: deterministic reservoir replacement.
-  reservoir_state_ += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = reservoir_state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  if (const std::uint64_t slot = z % stats_.count(); slot < kReservoirCap)
-    samples_[static_cast<std::size_t>(slot)] = v;
-}
-
-double Histogram::Snapshot::percentile(double q) const {
-  if (samples.empty()) return std::nan("");
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  return util::percentile_sorted(sorted, q);
-}
-
-Histogram::Snapshot Histogram::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Snapshot snap;
-  snap.stats = stats_;
-  snap.samples = samples_;
-  return snap;
-}
-
-void Histogram::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = util::RunningStats();
-  samples_.clear();
-}
-
 Registry& Registry::instance() {
   static auto* registry = new Registry();  // leaked: usable during atexit
   return *registry;
@@ -169,11 +132,8 @@ Counter& Registry::counter(const std::string& name) {
 Gauge& Registry::gauge(const std::string& name) {
   return lookup(gauges_, name);
 }
-Histogram& Registry::histogram(const std::string& name) {
+LogLinearHistogram& Registry::histogram(const std::string& name) {
   return lookup(histograms_, name);
-}
-LogLinearHistogram& Registry::tail_histogram(const std::string& name) {
-  return lookup(tail_histograms_, name);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {
@@ -194,25 +154,12 @@ std::vector<std::pair<std::string, double>> Registry::gauges() const {
   return out;
 }
 
-std::vector<std::pair<std::string, Histogram::Snapshot>> Registry::histograms()
-    const {
-  std::vector<std::pair<std::string, Histogram::Snapshot>> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, metric] : histograms_)
-      out.emplace_back(name, metric->snapshot());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
 std::vector<std::pair<std::string, LogLinearHistogram::Snapshot>>
-Registry::tail_histograms() const {
+Registry::histograms() const {
   std::vector<std::pair<std::string, LogLinearHistogram::Snapshot>> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, metric] : tail_histograms_)
+    for (const auto& [name, metric] : histograms_)
       out.emplace_back(name, metric->snapshot());
   }
   std::sort(out.begin(), out.end(),
@@ -226,7 +173,6 @@ void Registry::reset_for_test() {
     for (auto& [name, metric] : counters_) metric->reset();
     for (auto& [name, metric] : gauges_) metric->set(0.0);
     for (auto& [name, metric] : histograms_) metric->reset();
-    for (auto& [name, metric] : tail_histograms_) metric->reset();
   }
   TraceBufferList& list = trace_buffers();
   std::lock_guard<std::mutex> lock(list.mu);
@@ -237,33 +183,18 @@ void Registry::reset_for_test() {
   g_trace_events.store(0, std::memory_order_relaxed);
 }
 
-void count(const char* name, std::uint64_t delta) {
-  if (!enabled()) return;
-  Registry::instance().counter(name).add(delta);
+namespace detail {
+
+// Flipped only by configure_exit_report (report.cpp, which declares it
+// itself): trace buffering follows the configured trace path and has no
+// public switch of its own.
+void set_trace_sink(bool configured) {
+  g_trace_sink.store(configured, std::memory_order_relaxed);
 }
 
-void gauge_set(const char* name, double value) {
-  if (!enabled()) return;
-  Registry::instance().gauge(name).set(value);
-}
+}  // namespace detail
 
-void observe(const char* name, double value) {
-  if (!enabled()) return;
-  Registry::instance().histogram(name).observe(value);
-}
-
-void observe_tail(const char* name, double value) {
-  if (!enabled()) return;
-  Registry::instance().tail_histogram(name).observe(value);
-}
-
-Span::Span(const char* name)
-    : name_(name), site_(nullptr), active_(enabled()) {
-  if (active_) start_ = std::chrono::steady_clock::now();
-}
-
-Span::Span(SpanSite& site)
-    : name_(site.name), site_(&site), active_(enabled()) {
+Span::Span(SpanSite& site) : site_(site), active_(enabled()) {
   if (active_) start_ = std::chrono::steady_clock::now();
 }
 
@@ -272,22 +203,22 @@ Span::~Span() {
   const auto end = std::chrono::steady_clock::now();
   const double dur_us =
       std::chrono::duration<double, std::micro>(end - start_).count();
-  Histogram* histogram =
-      site_ != nullptr ? site_->histogram.load(std::memory_order_acquire)
-                       : nullptr;
+  LogLinearHistogram* histogram =
+      site_.histogram.load(std::memory_order_acquire);
   if (histogram == nullptr) {
-    histogram = &Registry::instance().histogram(std::string(name_) + ".ms");
-    if (site_ != nullptr)
-      site_->histogram.store(histogram, std::memory_order_release);
+    histogram = &Registry::instance().histogram(std::string(site_.name) +
+                                                ".ms");
+    site_.histogram.store(histogram, std::memory_order_release);
   }
   histogram->observe(dur_us / 1000.0);
-  if (g_trace_events.fetch_add(1, std::memory_order_relaxed) >=
-      kMaxTraceEvents)
+  if (!g_trace_sink.load(std::memory_order_relaxed) ||
+      g_trace_events.fetch_add(1, std::memory_order_relaxed) >=
+          kMaxTraceEvents)
     return;
   ThreadTraceBuffer& buffer = local_trace_buffer();
   std::lock_guard<std::mutex> lock(buffer.mu);
   buffer.events.push_back(
-      {name_, us_since_epoch(start_), dur_us, buffer.tid});
+      {site_.name, us_since_epoch(start_), dur_us, buffer.tid});
 }
 
 std::vector<TraceEvent> collect_trace_events() {

@@ -1,17 +1,19 @@
 // Telemetry core: a process-wide registry of named counters, gauges and
-// histograms, plus RAII spans that feed both the histogram registry and a
-// Chrome-trace-compatible event buffer.
+// log-linear histograms, plus RAII spans that feed the histogram registry
+// and, while a trace sink is configured, a Chrome-trace-compatible event
+// buffer.
 //
 // Design constraints (every later perf PR reports against this layer, so it
-// must not distort what it measures):
+// must not distort what it measures; `serve` leaves it on):
 //
 //  * Near-zero cost when disabled. Telemetry is OFF by default; every
-//    recording helper early-outs on one relaxed atomic load. Defining
-//    DIAGNET_OBS_DISABLE (see obs.h) compiles the instrumentation macros
-//    out entirely.
-//  * Thread-safe. Counters/gauges are lock-free atomics; histograms take a
-//    per-histogram mutex; trace events append to per-thread buffers that
-//    only lock their own (uncontended) mutex.
+//    recording helper early-outs on one relaxed atomic load.
+//  * Lock-free recording. Counters/gauges are atomics and every histogram
+//    is a LogLinearHistogram, so closing a span or observing a value takes
+//    no mutex. Trace events are buffered only while a trace path is
+//    configured (configure_exit_report: --trace / DIAGNET_TRACE); they
+//    append to per-thread buffers that only lock their own (uncontended)
+//    mutex.
 //  * Deterministic names. Metrics use dotted lower-case paths
 //    ("pipeline.train.wall_ms", "diagnose.latency_ms"); spans contribute a
 //    histogram named "<span>.ms" automatically.
@@ -23,11 +25,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/loglin_histogram.h"
-#include "util/stats.h"
 
 namespace diagnet::obs {
 
@@ -67,36 +69,9 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Distribution of observed values: exact running moments plus a bounded
-/// sample reservoir for percentile queries.
-class Histogram {
- public:
-  /// Reservoir size; beyond this, observations replace a pseudo-random
-  /// (deterministically seeded) slot so percentiles stay representative.
-  static constexpr std::size_t kReservoirCap = 4096;
-
-  void observe(double v);
-
-  /// Point-in-time copy safe to read while other threads observe().
-  struct Snapshot {
-    util::RunningStats stats;
-    std::vector<double> samples;  // unsorted reservoir
-
-    double percentile(double q) const;  // NaN when empty
-  };
-  Snapshot snapshot() const;
-  void reset();
-
- private:
-  mutable std::mutex mu_;
-  util::RunningStats stats_;
-  std::vector<double> samples_;
-  std::uint64_t reservoir_state_ = 0x9e3779b97f4a7c15ULL;
-};
-
 /// One completed span, in the Chrome trace-event "X" (complete) phase.
 struct TraceEvent {
-  std::string name;
+  const char* name = "";  // the DIAGNET_SPAN literal
   double ts_us = 0.0;   // start, monotonic microseconds since process epoch
   double dur_us = 0.0;
   std::uint32_t tid = 0;
@@ -111,18 +86,13 @@ class Registry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
-  /// Tail (log-linear) histogram family: exact p999 over unbounded
-  /// streams, lock-free recording — all `serve.*` latency metrics live
-  /// here (see loglin_histogram.h for when to use which family).
-  LogLinearHistogram& tail_histogram(const std::string& name);
+  LogLinearHistogram& histogram(const std::string& name);
 
   /// Sorted-by-name snapshots for the report sinks.
   std::vector<std::pair<std::string, std::uint64_t>> counters() const;
   std::vector<std::pair<std::string, double>> gauges() const;
-  std::vector<std::pair<std::string, Histogram::Snapshot>> histograms() const;
   std::vector<std::pair<std::string, LogLinearHistogram::Snapshot>>
-  tail_histograms() const;
+  histograms() const;
 
   /// Zero every metric and drop buffered trace events (test isolation).
   void reset_for_test();
@@ -136,20 +106,9 @@ class Registry {
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;
   std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
-  std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_;
   std::vector<std::pair<std::string, std::unique_ptr<LogLinearHistogram>>>
-      tail_histograms_;
+      histograms_;
 };
-
-/// Convenience recording helpers; all no-ops while disabled. These take
-/// the registry mutex for a linear name scan on every call — fine for
-/// dynamic names, but instrumented call sites with literal names should
-/// go through the obs.h macros, which cache the metric pointer in a
-/// function-local static so steady-state recording is one atomic op.
-void count(const char* name, std::uint64_t delta = 1);
-void gauge_set(const char* name, double value);
-void observe(const char* name, double value);
-void observe_tail(const char* name, double value);
 
 /// One instrumented span call site (created as a function-local static by
 /// DIAGNET_SPAN): caches the "<name>.ms" histogram pointer after the
@@ -160,16 +119,16 @@ void observe_tail(const char* name, double value);
 struct SpanSite {
   explicit SpanSite(const char* span_name) : name(span_name) {}
   const char* name;
-  std::atomic<Histogram*> histogram{nullptr};
+  std::atomic<LogLinearHistogram*> histogram{nullptr};
 };
 
 /// Scoped timer. On destruction (if telemetry was enabled at construction)
-/// it appends a trace event and observes "<name>.ms" in the registry.
-/// Nesting is expressed through event containment per thread, which is how
-/// Perfetto / chrome://tracing reconstruct the stack.
+/// it observes "<name>.ms" in the registry and, only while a trace path is
+/// configured, appends a trace event. Nesting is expressed through event
+/// containment per thread, which is how Perfetto / chrome://tracing
+/// reconstruct the stack.
 class Span {
  public:
-  explicit Span(const char* name);
   explicit Span(SpanSite& site);
   ~Span();
 
@@ -177,13 +136,13 @@ class Span {
   Span& operator=(const Span&) = delete;
 
  private:
-  const char* name_;
-  SpanSite* site_;  // nullptr for uncached (dynamic-name) spans
+  SpanSite& site_;
   std::chrono::steady_clock::time_point start_;
   bool active_;
 };
 
-/// All trace events recorded so far (flushes every live thread's buffer).
+/// All trace events buffered so far (flushes every live thread's buffer);
+/// empty unless a trace path was configured while the spans closed.
 std::vector<TraceEvent> collect_trace_events();
 
 /// Serialise the buffered events as a Chrome trace-event JSON object
@@ -196,6 +155,6 @@ bool write_trace_file(const std::string& path);
 /// Append `s` to `out` as the body of a JSON string (escapes quotes,
 /// backslashes and control characters). Shared by every JSON sink so
 /// arbitrary metric/span names stay well-formed.
-void append_json_escaped(std::string& out, const std::string& s);
+void append_json_escaped(std::string& out, std::string_view s);
 
 }  // namespace diagnet::obs

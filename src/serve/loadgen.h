@@ -1,9 +1,9 @@
 // Load generator for a live `diagnet serve` TCP endpoint — the repo's
 // serving benchmarks are *driven*, not simulated: loadgen opens real
 // connections, speaks the production wire protocol, and measures
-// end-to-end latency from the client side into the same log-linear
-// histograms the server uses, so BENCH_serve.json percentiles are
-// directly comparable with the server's own serve.latency_ms.
+// end-to-end latency from the client side into the LogLinearHistogram
+// that backs every registry histogram, so BENCH_serve.json percentiles
+// are directly comparable with the server's own serve.latency_ms.
 //
 // Two driving modes:
 //  * closed loop (target_rps == 0) — each of `concurrency` connections

@@ -188,15 +188,16 @@ void DiagnosisService::enqueue(Pending pending) {
 
   std::unique_lock<std::mutex> lock(mu_);
   if (stopping_) {
+    ++stats_.rejected;
     lock.unlock();
-    DIAGNET_COUNT("serve.rejected");
+    DIAGNET_COUNT("serve.rejected.stopping");
     reject(util::Status::unavailable("server is stopping"));
     return;
   }
   if (queue_.size() >= config_.queue_capacity) {
     ++stats_.rejected;
     lock.unlock();
-    DIAGNET_COUNT("serve.rejected");
+    DIAGNET_COUNT("serve.rejected.queue_full");
     reject(util::Status::resource_exhausted(
         "queue full (" + std::to_string(config_.queue_capacity) +
         " requests waiting)"));
@@ -342,7 +343,7 @@ void DiagnosisService::run_batch(std::vector<Pending> batch,
   const double assembly_us =
       std::chrono::duration<double, std::micro>(inference_start - formed)
           .count();
-  DIAGNET_OBSERVE_TAIL("serve.inference_ms", inference_us / 1000.0);
+  DIAGNET_OBSERVE("serve.inference_ms", inference_us / 1000.0);
 
   DIAGNET_SPAN("serve.batch.write_back");
   std::uint64_t completed = 0;
@@ -363,8 +364,8 @@ void DiagnosisService::run_batch(std::vector<Pending> batch,
     const double latency_ms =
         std::chrono::duration<double, std::milli>(stamp - live[i].enqueued)
             .count();
-    DIAGNET_OBSERVE_TAIL("serve.latency_ms", latency_ms);
-    DIAGNET_OBSERVE_TAIL("serve.queue_wait_ms", trace.queue_us / 1000.0);
+    DIAGNET_OBSERVE("serve.latency_ms", latency_ms);
+    DIAGNET_OBSERVE("serve.queue_wait_ms", trace.queue_us / 1000.0);
     completed += responses[i].ok() ? 1 : 0;
     live[i].resolve(std::move(responses[i]));
   }

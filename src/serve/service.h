@@ -151,7 +151,7 @@ class DiagnosisService {
 
   struct Stats {
     std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;   // queue-full refusals
+    std::uint64_t rejected = 0;   // queue-full + stopping refusals
     std::uint64_t shed = 0;       // deadline-exceeded drops
     std::uint64_t completed = 0;  // diagnoses actually produced
     std::uint64_t batches = 0;    // dispatched batches

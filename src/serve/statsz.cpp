@@ -210,7 +210,7 @@ std::string statsz_prometheus(const StatszSource& source) {
          static_cast<double>(value));
   for (const auto& [name, value] : registry.gauges())
     emit(prom_name(name), "gauge", value);
-  for (const auto& [name, snapshot] : registry.tail_histograms()) {
+  for (const auto& [name, snapshot] : registry.histograms()) {
     if (snapshot.count == 0) continue;
     const std::string metric = prom_name(name);
     out += "# TYPE " + metric + " summary\n";

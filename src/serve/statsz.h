@@ -5,10 +5,11 @@
 //                          in-flight batches, admission-control counters,
 //                          the model's generation + registry checksum, and
 //                          the full telemetry registry (counters / gauges /
-//                          histograms / tail histograms).
+//                          histograms).
 //  * statsz_prometheus() — the same data in Prometheus text exposition
 //                          format (counters, gauges, and summary-style
-//                          quantile series for the tail histograms).
+//                          quantile series for every histogram, span
+//                          "<name>.ms" histograms included).
 //
 // Surfaces:
 //  * in-band — a wire line {"cmd":"statsz"} on any session answers with

@@ -1,13 +1,12 @@
 #include "obs/obs.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
-#include <thread>
+#include <string_view>
 
 #include "util/thread_pool.h"
 
@@ -119,8 +118,9 @@ class JsonChecker {
   std::size_t pos_ = 0;
 };
 
-// Every test starts from a clean, enabled registry and leaves telemetry off
-// so unrelated test binaries in the same process stay unobserved.
+// Every test starts from a clean, enabled registry without a trace sink and
+// leaves telemetry off with the sink cleared, so unrelated test binaries in
+// the same process stay unobserved and no trace file is written at exit.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -128,36 +128,37 @@ class ObsTest : public ::testing::Test {
     set_enabled(true);
   }
   void TearDown() override {
+    configure_exit_report("", "", false);
     set_enabled(false);
     Registry::instance().reset_for_test();
+  }
+  // Spans buffer trace events only while a trace path is configured.
+  static void configure_trace_sink() {
+    configure_exit_report(::testing::TempDir() + "diagnet_obs_test.trace.json",
+                          "", false);
   }
 };
 
 const TraceEvent* find_event(const std::vector<TraceEvent>& events,
-                             const std::string& name) {
+                             std::string_view name) {
   for (const TraceEvent& event : events)
     if (event.name == name) return &event;
   return nullptr;
 }
 
-#if defined(DIAGNET_OBS_DISABLE)
-
-// Compile-out build: the macros must be true no-ops even while the runtime
-// switch is on.
-TEST_F(ObsTest, CompiledOutMacrosRecordNothing) {
-  {
-    DIAGNET_SPAN("test.compiled_out_span");
+TEST_F(ObsTest, NoTraceEventsWithoutASink) {
+  constexpr std::size_t kSpans = 1000;
+  for (std::size_t i = 0; i < kSpans; ++i) {
+    DIAGNET_SPAN("test.unsunk_span");
   }
-  DIAGNET_COUNT("test.compiled_out_count");
-  DIAGNET_OBSERVE("test.compiled_out_hist", 1.0);
   EXPECT_TRUE(collect_trace_events().empty());
-  EXPECT_EQ(Registry::instance().counter("test.compiled_out_count").value(),
-            0u);
+  EXPECT_EQ(Registry::instance().histogram("test.unsunk_span.ms").snapshot()
+                .count,
+            kSpans);
 }
 
-#else  // !DIAGNET_OBS_DISABLE
-
 TEST_F(ObsTest, SpanNestingIsContainedInTraceEvents) {
+  configure_trace_sink();
   {
     DIAGNET_SPAN("outer");
     {
@@ -190,93 +191,27 @@ TEST_F(ObsTest, ConcurrentCounterIncrementsFromThreadPool) {
             kIterations);
   const auto snap =
       Registry::instance().histogram("test.concurrent_hist").snapshot();
-  EXPECT_EQ(snap.stats.count(), kIterations);
+  EXPECT_EQ(snap.count, kIterations);
+  EXPECT_DOUBLE_EQ(snap.min, 0.0);
+  EXPECT_DOUBLE_EQ(snap.max, 99.0);
   EXPECT_GE(snap.percentile(0.5), 0.0);
   EXPECT_LE(snap.percentile(1.0), 99.0);
 }
 
 TEST_F(ObsTest, SpansFromWorkerThreadsAllReachTheTrace) {
+  configure_trace_sink();
   constexpr std::size_t kIterations = 64;
   util::parallel_for(kIterations, [](std::size_t) {
     DIAGNET_SPAN("test.worker_span");
   });
   std::size_t seen = 0;
   for (const TraceEvent& event : collect_trace_events())
-    seen += event.name == "test.worker_span" ? 1 : 0;
+    seen += std::string_view(event.name) == "test.worker_span" ? 1 : 0;
   EXPECT_EQ(seen, kIterations);
 }
 
-#endif  // DIAGNET_OBS_DISABLE
-
-// The registry API itself works regardless of the macro compile-out.
-TEST_F(ObsTest, HistogramPercentilesMatchDirectComputation) {
-  Histogram& hist = Registry::instance().histogram("test.latency");
-  for (int i = 1; i <= 100; ++i) hist.observe(static_cast<double>(i));
-  const auto snap = hist.snapshot();
-  EXPECT_EQ(snap.stats.count(), 100u);
-  EXPECT_NEAR(snap.stats.mean(), 50.5, 1e-12);
-  EXPECT_DOUBLE_EQ(snap.stats.min(), 1.0);
-  EXPECT_DOUBLE_EQ(snap.stats.max(), 100.0);
-  EXPECT_NEAR(snap.percentile(0.50), 50.5, 1e-12);
-  EXPECT_NEAR(snap.percentile(0.95), 95.05, 1e-12);
-  EXPECT_NEAR(snap.percentile(0.99), 99.01, 1e-12);
-}
-
-TEST_F(ObsTest, HistogramReservoirStaysBoundedButCountsAll) {
-  Histogram& hist = Registry::instance().histogram("test.reservoir");
-  const std::size_t total = Histogram::kReservoirCap * 3;
-  for (std::size_t i = 0; i < total; ++i)
-    hist.observe(static_cast<double>(i));
-  const auto snap = hist.snapshot();
-  EXPECT_EQ(snap.stats.count(), total);
-  EXPECT_EQ(snap.samples.size(), Histogram::kReservoirCap);
-  // The reservoir must keep samples from across the stream, not only the
-  // earliest window.
-  EXPECT_GT(snap.percentile(0.99),
-            static_cast<double>(Histogram::kReservoirCap));
-}
-
-TEST_F(ObsTest, ConcurrentObserveVersusSnapshotKeepsInvariants) {
-  // The statsz admin surface snapshots histograms while serve worker
-  // threads are still recording into them; this is the race the suite
-  // sweeps under tsan/asan. Each snapshot must be internally consistent
-  // (count monotone, reservoir bounded, stats within observed range) and
-  // no observation may be lost by the end.
-  Histogram& hist = Registry::instance().histogram("test.race");
-  constexpr int kWriters = 4;
-  constexpr std::size_t kPerWriter = 20000;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&hist, &go, w] {
-      while (!go.load()) std::this_thread::yield();
-      for (std::size_t i = 0; i < kPerWriter; ++i)
-        hist.observe(1.0 + static_cast<double>((i + w) % 100));
-    });
-  }
-  go.store(true);
-  std::size_t last_count = 0;
-  for (int i = 0; i < 200; ++i) {
-    const auto snap = hist.snapshot();
-    EXPECT_GE(snap.stats.count(), last_count);
-    last_count = snap.stats.count();
-    EXPECT_LE(snap.samples.size(), Histogram::kReservoirCap);
-    if (snap.stats.count() > 0) {
-      EXPECT_GE(snap.stats.min(), 1.0);
-      EXPECT_LE(snap.stats.max(), 100.0);
-      const double p50 = snap.percentile(0.5);
-      EXPECT_TRUE(p50 >= snap.stats.min() && p50 <= snap.stats.max());
-    }
-    std::this_thread::yield();
-  }
-  for (std::thread& writer : writers) writer.join();
-  EXPECT_EQ(hist.snapshot().stats.count(), kWriters * kPerWriter);
-}
-
-#if !defined(DIAGNET_OBS_DISABLE)
-
 TEST_F(ObsTest, TraceJsonIsWellFormed) {
+  configure_trace_sink();
   {
     DIAGNET_SPAN("stage \"quoted\" \\ and\nnewline");
     DIAGNET_SPAN("plain.stage");
@@ -301,6 +236,9 @@ TEST_F(ObsTest, MetricsJsonIsWellFormedIncludingEmptyHistograms) {
   DIAGNET_GAUGE_SET("test.gauge", 2.5);
   Registry::instance().histogram("test.empty_hist");  // count == 0 -> nulls
   DIAGNET_OBSERVE("test.hist", 1.0);
+  {
+    DIAGNET_SPAN("test.json_span");
+  }
   // Names must be escaped too (spans can carry arbitrary labels).
   DIAGNET_COUNT("test \"quoted\"\ncounter");
   const std::string json = metrics_to_json();
@@ -309,18 +247,34 @@ TEST_F(ObsTest, MetricsJsonIsWellFormedIncludingEmptyHistograms) {
   EXPECT_NE(json.find("\"test.empty_hist\":{\"count\":0"),
             std::string::npos);
   EXPECT_NE(json.find("null"), std::string::npos);  // NaN percentiles
+  // One histogram family: observed values and span timings share the
+  // "histograms" object and its fields.
+  EXPECT_NE(json.find("\"test.hist\":{\"count\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"test.json_span.ms\":{\"count\":1"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"p999\""), std::string::npos);
 }
 
 TEST_F(ObsTest, SummaryRendersRecordedMetrics) {
   DIAGNET_COUNT("test.visits");
   DIAGNET_OBSERVE("test.wall_ms", 12.0);
+  {
+    DIAGNET_SPAN("test.summary_span");
+  }
   const std::string summary = render_summary();
   EXPECT_NE(summary.find("test.visits"), std::string::npos);
   EXPECT_NE(summary.find("test.wall_ms"), std::string::npos);
+  EXPECT_NE(summary.find("test.summary_span.ms"), std::string::npos);
   EXPECT_NE(summary.find("p99"), std::string::npos);
+  EXPECT_NE(summary.find("p999"), std::string::npos);
+  // One histogram table, not one per family.
+  const std::size_t header = summary.find("| histogram");
+  ASSERT_NE(header, std::string::npos);
+  EXPECT_EQ(summary.find("| histogram", header + 1), std::string::npos);
 }
 
 TEST_F(ObsTest, DisabledModeRecordsNothing) {
+  configure_trace_sink();
   set_enabled(false);
   {
     DIAGNET_SPAN("test.disabled_span");
@@ -331,8 +285,7 @@ TEST_F(ObsTest, DisabledModeRecordsNothing) {
   EXPECT_TRUE(collect_trace_events().empty());
   EXPECT_EQ(Registry::instance().counter("test.disabled_count").value(), 0u);
   EXPECT_EQ(
-      Registry::instance().histogram("test.disabled_hist").snapshot()
-          .stats.count(),
+      Registry::instance().histogram("test.disabled_hist").snapshot().count,
       0u);
 }
 
@@ -352,6 +305,7 @@ TEST_F(ObsTest, ForceDisableWinsOverLaterEnable) {
 TEST_F(ObsTest, ToggleMidSpanStaysBalanced) {
   // A span started while enabled records even if telemetry is switched off
   // before it ends; a span started while disabled never records.
+  configure_trace_sink();
   {
     DIAGNET_SPAN("test.started_enabled");
     set_enabled(false);
@@ -362,16 +316,16 @@ TEST_F(ObsTest, ToggleMidSpanStaysBalanced) {
 }
 
 TEST_F(ObsTest, ResetForTestClearsEverything) {
+  configure_trace_sink();
   DIAGNET_COUNT("test.reset_count");
   {
     DIAGNET_SPAN("test.reset_span");
   }
+  ASSERT_FALSE(collect_trace_events().empty());
   Registry::instance().reset_for_test();
   EXPECT_EQ(Registry::instance().counter("test.reset_count").value(), 0u);
   EXPECT_TRUE(collect_trace_events().empty());
 }
-
-#endif  // !DIAGNET_OBS_DISABLE
 
 }  // namespace
 }  // namespace diagnet::obs

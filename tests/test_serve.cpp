@@ -572,9 +572,57 @@ TEST(DiagnosisService, RejectCounterIncrementsOnQueueFull) {
     // admission control turned the request away.
     EXPECT_NE(response.trace.request_id, 0u);
   }
-  EXPECT_EQ(obs::Registry::instance().counter("serve.rejected").value(), 3u);
+  EXPECT_EQ(
+      obs::Registry::instance().counter("serve.rejected.queue_full").value(),
+      3u);
   service.stop();
   for (auto& future : accepted) EXPECT_TRUE(future.get().ok());
+}
+
+TEST(DiagnosisService, RejectCountersAgreeWithStatszAfterStop) {
+  ScopedObs scoped_obs;
+  auto& p = pipeline();
+  const std::vector<std::size_t> indices = p.faulty_test_indices();
+
+  auto provider = std::make_shared<serve::ModelProvider>(pipeline_model());
+  serve::ServiceConfig config;
+  config.max_batch = 8;
+  config.max_delay_us = 10'000'000;
+  config.queue_capacity = 2;
+  serve::DiagnosisService service(provider, config);
+
+  std::vector<std::future<core::DiagnoseResponse>> accepted;
+  for (std::size_t i = 0; i < 2; ++i)
+    accepted.push_back(service.submit(request_for(indices[i])));
+  EXPECT_EQ(service.submit(request_for(indices[2])).get().status.code(),
+            util::StatusCode::kResourceExhausted);
+  service.stop();
+  for (auto& future : accepted) EXPECT_TRUE(future.get().ok());
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(service.submit(request_for(indices[i])).get().status.code(),
+              util::StatusCode::kUnavailable);
+
+  obs::Registry& registry = obs::Registry::instance();
+  const std::uint64_t queue_full =
+      registry.counter("serve.rejected.queue_full").value();
+  const std::uint64_t stopping =
+      registry.counter("serve.rejected.stopping").value();
+  EXPECT_EQ(queue_full, 1u);
+  EXPECT_EQ(stopping, 2u);
+  EXPECT_EQ(service.stats().rejected, queue_full + stopping);
+
+  const serve::StatszSource source{&service, nullptr,
+                                   std::chrono::steady_clock::now()};
+  auto tree = serve::parse_json(serve::statsz_json(source));
+  ASSERT_TRUE(tree.ok()) << tree.status().to_string();
+  const serve::JsonValue* stats = tree->find("service");
+  ASSERT_NE(stats, nullptr);
+  const serve::JsonValue* rejected = stats->find("rejected");
+  ASSERT_NE(rejected, nullptr);
+  EXPECT_EQ(rejected->as_number(), static_cast<double>(queue_full + stopping));
+  EXPECT_NE(serve::statsz_prometheus(source).find(
+                "\ndiagnet_serve_rejected_total 3\n"),
+            std::string::npos);
 }
 
 TEST(DiagnosisService, RequestIdsAreUniqueAndTracePhasesAreStamped) {
@@ -706,6 +754,28 @@ TEST(Server, InBandStatszAnswersWhileRequestsAreInFlight) {
 
   service.stop();
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
+}
+
+TEST(Server, PrometheusExportsSpanHistograms) {
+  ScopedObs scoped_obs;
+  auto& p = pipeline();
+  const std::vector<std::size_t> indices = p.faulty_test_indices();
+
+  auto provider = std::make_shared<serve::ModelProvider>(pipeline_model());
+  serve::DiagnosisService service(provider);
+  EXPECT_TRUE(service.submit(request_for(indices[0])).get().ok());
+  service.stop();  // joins the dispatcher, so the serve.batch span closed
+
+  const serve::StatszSource source{&service, provider.get(),
+                                   std::chrono::steady_clock::now()};
+  const std::string prometheus = serve::statsz_prometheus(source);
+  EXPECT_NE(prometheus.find("# TYPE diagnet_serve_batch_ms summary\n"),
+            std::string::npos)
+      << prometheus;
+  EXPECT_NE(prometheus.find("\ndiagnet_serve_batch_ms{quantile=\"0.99\"} "),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("\ndiagnet_serve_batch_ms_count 1\n"),
+            std::string::npos);
 }
 
 #if defined(__linux__)
