@@ -346,6 +346,12 @@ std::unique_ptr<DiagNetModel> DiagNetModel::load(
 
   model->normalizer_.load(reader, fs);
   model->auxiliary_.load(reader);
+  // The forest reads and scores over the feature space: splits index a
+  // sample of fs.total() features, and its causes are those features.
+  if (model->auxiliary_.feature_bound() > fs.total() ||
+      model->auxiliary_.total_causes() != fs.total())
+    throw std::runtime_error(
+        "model registry: auxiliary forest does not fit the feature space");
   model->unknown_features_ = reader.read_indices();
   return model;
 }

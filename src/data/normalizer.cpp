@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/require.h"
 #include "util/stats.h"
@@ -44,10 +46,17 @@ void Normalizer::fit(const Dataset& train, const FeatureSpace& fs) {
   const std::vector<bool> available = train.feature_available(fs);
 
   std::vector<util::RunningStats> acc(kKinds);
-  for (const Sample& sample : train.samples) {
+  for (std::size_t i = 0; i < train.samples.size(); ++i) {
+    const Sample& sample = train.samples[i];
     DIAGNET_REQUIRE(sample.features.size() == fs.total());
     for (std::size_t j = 0; j < fs.total(); ++j) {
       if (!available[j]) continue;
+      // One NaN or infinity would poison the statistic of its whole kind.
+      if (!std::isfinite(sample.features[j]))
+        throw std::invalid_argument(
+            "normalizer: training sample " + std::to_string(i) +
+            " has a non-finite value of feature " + std::to_string(j) + " (" +
+            fs.name(j) + ")");
       const std::size_t kind = kind_of(fs, j);
       acc[kind].add(transform(kind, sample.features[j]));
     }

@@ -19,7 +19,9 @@ namespace diagnet::data {
 class Normalizer {
  public:
   /// Fit pooled statistics on the training set, using only the features of
-  /// available landmarks (plus all local features).
+  /// available landmarks (plus all local features). Throws
+  /// std::invalid_argument, naming the sample and the feature, when one of
+  /// those values is not finite.
   void fit(const Dataset& train, const FeatureSpace& fs);
 
   /// z-scored transformed features; input is a raw feature vector.

@@ -1,6 +1,8 @@
 #include "forest/extensible_forest.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "obs/obs.h"
 #include "util/require.h"
@@ -84,6 +86,17 @@ void ExtensibleForest::load(util::BinaryReader& reader) {
   total_causes_ = static_cast<std::size_t>(reader.read_u64());
   class_to_cause_ = reader.read_indices();
   forest_.load(reader);
+  // score_causes writes scores[class_to_cause_[c]] for every trained class.
+  if (class_to_cause_.size() + 1 != forest_.classes())
+    throw std::runtime_error(
+        "ExtensibleForest: cause map does not match the class count");
+  for (std::size_t c = 0; c < class_to_cause_.size(); ++c) {
+    if (class_to_cause_[c] >= total_causes_ ||
+        (c > 0 && class_to_cause_[c] <= class_to_cause_[c - 1]))
+      throw std::runtime_error(
+          "ExtensibleForest: cause map is not ascending below " +
+          std::to_string(total_causes_));
+  }
 }
 
 }  // namespace diagnet::forest

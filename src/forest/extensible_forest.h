@@ -25,7 +25,7 @@ class ExtensibleForest {
 
   /// y_cause[i]: the root-cause index in [0, total_causes) of sample i, or
   /// kNominal. `total_causes` is the full root-cause space (m in the paper),
-  /// including causes absent from the training data.
+  /// including causes absent from the training data. X must be finite.
   void fit(const Matrix& x, const std::vector<std::size_t>& y_cause,
            std::size_t total_causes, const ForestConfig& config,
            std::uint64_t seed);
@@ -44,8 +44,12 @@ class ExtensibleForest {
     return class_to_cause_;
   }
   bool trained() const { return forest_.trained(); }
+  /// One past the largest feature index any split reads.
+  std::size_t feature_bound() const { return forest_.feature_bound(); }
 
   void save(util::BinaryWriter& writer) const;
+  /// Throws std::runtime_error on a malformed forest, or on a cause map
+  /// that is not ascending, below total_causes() and one per trained class.
   void load(util::BinaryReader& reader);
 
  private:

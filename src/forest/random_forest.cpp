@@ -1,6 +1,8 @@
 #include "forest/random_forest.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 #include "util/require.h"
 #include "util/thread_pool.h"
@@ -15,6 +17,8 @@ void RandomForest::fit(const Matrix& x, const std::vector<std::size_t>& y,
   classes_ = classes;
   trees_.assign(config.n_estimators, DecisionTree{});
 
+  // Sorted once here, shared read-only by every tree.
+  const ColumnOrder columns(x);
   const util::Rng root(seed);
   const std::size_t n = x.rows();
   util::parallel_for(config.n_estimators, [&](std::size_t t) {
@@ -22,7 +26,7 @@ void RandomForest::fit(const Matrix& x, const std::vector<std::size_t>& y,
     // Bootstrap sample: n draws with replacement.
     std::vector<std::size_t> rows(n);
     for (auto& r : rows) r = static_cast<std::size_t>(rng.uniform_index(n));
-    trees_[t].fit(x, y, classes, rows, config.tree, rng);
+    trees_[t].fit(columns, y, classes, rows, config.tree, rng);
   });
 }
 
@@ -30,7 +34,7 @@ std::vector<double> RandomForest::predict_proba(const double* sample) const {
   DIAGNET_REQUIRE_MSG(trained(), "predict on an unfitted forest");
   std::vector<double> proba(classes_, 0.0);
   for (const auto& tree : trees_) {
-    const std::vector<double> p = tree.predict_proba(sample);
+    const double* p = tree.leaf_proba(sample);
     for (std::size_t c = 0; c < classes_; ++c) proba[c] += p[c];
   }
   const double inv = 1.0 / static_cast<double>(trees_.size());
@@ -64,8 +68,24 @@ void RandomForest::load(util::BinaryReader& reader) {
   reader.expect_u64(0xf03e5700ULL, "RandomForest");
   classes_ = static_cast<std::size_t>(reader.read_u64());
   const std::uint64_t count = reader.read_u64();
-  trees_.assign(count, DecisionTree{});
-  for (auto& tree : trees_) tree.load(reader);
+  if (classes_ < 2 || count == 0)
+    throw std::runtime_error("RandomForest: implausible shape");
+  // Grown tree by tree, so a forged count runs out of bytes, not memory.
+  trees_.clear();
+  for (std::uint64_t t = 0; t < count; ++t) {
+    DecisionTree tree;
+    tree.load(reader);
+    if (tree.classes() != classes_)
+      throw std::runtime_error("RandomForest: tree class count differs");
+    trees_.push_back(std::move(tree));
+  }
+}
+
+std::size_t RandomForest::feature_bound() const {
+  std::size_t bound = 0;
+  for (const DecisionTree& tree : trees_)
+    bound = std::max(bound, tree.feature_bound());
+  return bound;
 }
 
 }  // namespace diagnet::forest

@@ -1,6 +1,7 @@
-// Bagged ensemble of CART trees. Trees are trained in parallel; every tree
-// derives its bootstrap and split randomness from fork(tree_index), so the
-// fitted forest is identical regardless of thread count.
+// Bagged ensemble of CART trees. The design matrix is sorted once per
+// forest (ColumnOrder) and trees are trained in parallel over it; every
+// tree derives its bootstrap and split randomness from fork(tree_index), so
+// the fitted forest is identical regardless of thread count.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +33,11 @@ class RandomForest {
   std::size_t classes() const { return classes_; }
   std::size_t tree_count() const { return trees_.size(); }
   bool trained() const { return !trees_.empty(); }
+  /// One past the largest split feature of any tree.
+  std::size_t feature_bound() const;
 
   void save(util::BinaryWriter& writer) const;
+  /// load() rejects a forest whose trees disagree with its class count.
   void load(util::BinaryReader& reader);
 
  private:

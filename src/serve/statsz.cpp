@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "obs/report.h"
@@ -127,8 +128,12 @@ std::string statsz_json(const StatszSource& source) {
 
 std::string statsz_prometheus(const StatszSource& source) {
   std::string out;
+  // Each name is exported once. The registry mirrors some Stats fields
+  // (e.g. serve.accepted), and the Stats blocks come first.
+  std::unordered_set<std::string> emitted;
   const auto emit = [&](const std::string& name, const char* type,
                         double value) {
+    if (!emitted.insert(name).second) return;
     out += "# TYPE " + name + ' ' + type + '\n';
     out += name + ' ';
     append_number(out, value);
@@ -211,8 +216,8 @@ std::string statsz_prometheus(const StatszSource& source) {
   for (const auto& [name, value] : registry.gauges())
     emit(prom_name(name), "gauge", value);
   for (const auto& [name, snapshot] : registry.histograms()) {
-    if (snapshot.count == 0) continue;
     const std::string metric = prom_name(name);
+    if (snapshot.count == 0 || !emitted.insert(metric).second) continue;
     out += "# TYPE " + metric + " summary\n";
     for (const double q : {0.5, 0.9, 0.99, 0.999}) {
       out += metric + "{quantile=\"";

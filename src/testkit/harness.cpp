@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "testkit/differential.h"
+#include "testkit/forest_oracle.h"
 #include "testkit/fuzz.h"
 #include "testkit/invariants.h"
 #include "testkit/simd.h"
@@ -72,6 +73,7 @@ const std::vector<Suite>& all_suites() {
        }},
       {"oracle.attention", check_attention_batch},
       {"oracle.kernel_tiers", check_kernel_tiers},
+      {"oracle.forest_fit", check_forest_fit},
       {"invariant.permutation",
        [](CaseContext& ctx) {
          check_pooling_permutation(ctx);

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -120,6 +121,64 @@ TEST(Cli, CorruptModelBundleExitsNonZeroWithError) {
   EXPECT_NE(r.output.find("error:"), std::string::npos);
   std::remove(campaign.c_str());
   std::remove(model.c_str());
+}
+
+/// `line` with its comma-separated field `index` replaced by `value`.
+std::string with_field(const std::string& line, std::size_t index,
+                       const std::string& value) {
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < index; ++i) begin = line.find(',', begin) + 1;
+  const std::size_t end = line.find(',', begin);
+  return line.substr(0, begin) + value + line.substr(end);
+}
+
+TEST(Cli, TrainRefusesNonFiniteFeatureValues) {
+  // strtod reads "nan" and "inf". One such cell of a training sample used
+  // to flow into the normaliser's pooled statistics and out into a saved
+  // bundle with exit 0.
+  const char* dir = std::getenv("TMPDIR");
+  const std::string base =
+      (dir && *dir ? std::string(dir) : std::string("/tmp"));
+  const std::string clean = base + "/diagnet_cli_finite.csv";
+  const CliResult sim =
+      run_cli("simulate --samples 900 --seed 7 --out " + clean);
+  ASSERT_EQ(sim.exit_code, 0) << sim.output;
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(clean);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  std::remove(clean.c_str());
+  // Line 0 is the landmark mask, line 1 the header, line 2 the first sample.
+  ASSERT_GT(lines.size(), 2u);
+  const std::string& header = lines[1];
+  const std::size_t at = header.find("local/mem");
+  ASSERT_NE(at, std::string::npos);
+  std::size_t column = 0;
+  for (std::size_t i = 0; i < at; ++i) column += header[i] == ',' ? 1 : 0;
+
+  for (const std::string bad : {"nan", "inf"}) {
+    std::vector<std::string> poisoned = lines;
+    poisoned[2] = with_field(poisoned[2], column, bad);
+    std::string contents;
+    for (const std::string& line : poisoned) contents += line + '\n';
+    const std::string campaign =
+        temp_file("diagnet_cli_nonfinite.csv", contents);
+    const std::string model = base + "/diagnet_cli_nonfinite.bin";
+    std::remove(model.c_str());
+    const CliResult r = run_cli("train --campaign " + campaign + " --out " +
+                                model + " --epochs 1");
+    EXPECT_EQ(r.exit_code, 1) << bad << '\n' << r.output;
+    EXPECT_NE(r.output.find("error: normalizer: training sample "),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("non-finite value of feature 52 (local/mem)"),
+              std::string::npos)
+        << r.output;
+    EXPECT_FALSE(std::ifstream(model).good()) << "a bundle was saved";
+    std::remove(campaign.c_str());
+    std::remove(model.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@
 #include <cmath>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "data/encoding.h"
 #include "data/generator.h"
@@ -256,6 +259,38 @@ TEST(Normalizer, NearConstantFeatureDoesNotExplodeZScores) {
   const double z = norm.apply_one(feature, 0.6);
   EXPECT_TRUE(std::isfinite(z));
   EXPECT_LT(std::abs(z), 100.0);
+}
+
+TEST(Normalizer, RefusesNonFiniteTrainingValues) {
+  // strtod accepts "nan" and "inf"; either would be pooled into the
+  // statistic of every landmark feature of its kind.
+  const auto& fs = fixture().fs;
+  const std::size_t feature = fs.landmark_feature(1, Metric::Jitter);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Dataset poisoned = fixture().dataset;
+    poisoned.samples[3].features[feature] = bad;
+    Normalizer norm;
+    try {
+      norm.fit(poisoned, fs);
+      ADD_FAILURE() << "fit accepted " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("sample 3 "), std::string::npos) << what;
+      EXPECT_NE(what.find("feature " + std::to_string(feature) + " (" +
+                          fs.name(feature) + ")"),
+                std::string::npos)
+          << what;
+    }
+  }
+  // A hidden landmark's features are not read, so they may hold anything.
+  Dataset hidden = fixture().dataset;
+  hidden.landmark_available[1] = false;
+  hidden.samples[3].features[feature] =
+      std::numeric_limits<double>::quiet_NaN();
+  Normalizer norm;
+  EXPECT_NO_THROW(norm.fit(hidden, fs));
 }
 
 TEST(Normalizer, UnfittedThrows) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include "forest/extensible_forest.h"
 #include "tests/test_helpers.h"
@@ -44,7 +46,7 @@ TEST(DecisionTree, SeparatesBlobs) {
 
   std::size_t correct = 0;
   for (std::size_t i = 0; i < 400; ++i) {
-    const auto proba = tree.predict_proba(x.row_copy(i).data());
+    const double* proba = tree.leaf_proba(x.row_copy(i).data());
     correct += (proba[y[i]] > 0.5) ? 1 : 0;
   }
   EXPECT_GT(correct, 390u);
@@ -59,7 +61,7 @@ TEST(DecisionTree, PureNodeBecomesLeaf) {
   tree.fit(x, y, 2, all_rows(10), TreeConfig{}, rng);
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_EQ(tree.depth(), 1u);
-  EXPECT_DOUBLE_EQ(tree.predict_proba(x.row_copy(0).data())[1], 1.0);
+  EXPECT_DOUBLE_EQ(tree.leaf_proba(x.row_copy(0).data())[1], 1.0);
 }
 
 TEST(DecisionTree, RespectsMaxDepth) {
@@ -88,7 +90,7 @@ TEST(DecisionTree, ProbaSumsToOne) {
   util::Rng rng(7);
   tree.fit(x, y, 2, all_rows(100), TreeConfig{}, rng);
   for (std::size_t i = 0; i < 20; ++i) {
-    const auto proba = tree.predict_proba(x.row_copy(i).data());
+    const double* proba = tree.leaf_proba(x.row_copy(i).data());
     EXPECT_NEAR(proba[0] + proba[1], 1.0, 1e-12);
   }
 }
@@ -96,7 +98,7 @@ TEST(DecisionTree, ProbaSumsToOne) {
 TEST(DecisionTree, PredictBeforeFitThrows) {
   DecisionTree tree;
   const double sample[2] = {0.0, 0.0};
-  EXPECT_THROW(tree.predict_proba(sample), std::logic_error);
+  EXPECT_THROW(tree.leaf_proba(sample), std::logic_error);
 }
 
 TEST(RandomForest, SeparatesBlobsAndIsDeterministic) {
@@ -235,6 +237,28 @@ TEST(ExtensibleForest, NominalSampleScoresHighUnknown) {
   model.fit(x, y, 6, config, 17);
   const std::vector<double> nominal(6, 0.0);
   EXPECT_GT(model.unknown_probability(nominal.data()), 0.5);
+}
+
+TEST(ExtensibleForest, RejectsNonFiniteDesignMatrix) {
+  // The fit sorts every column once, and a NaN breaks the sort's strict
+  // weak order; an infinity has no midpoint threshold.
+  Matrix x;
+  std::vector<std::size_t> y;
+  make_cause_data(x, y, 18);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    Matrix poisoned = x;
+    poisoned(7, 3) = bad;
+    ExtensibleForest model;
+    try {
+      model.fit(poisoned, y, 6, ForestConfig{}, 1);
+      ADD_FAILURE() << "fit accepted " << bad;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("row 7, column 3"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ExtensibleForest, RejectsAllNominalTraining) {

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/registry.h"
 #include "data/generator.h"
@@ -167,10 +170,12 @@ TEST(BundleCompat, SaveLoadSaveIsByteIdentical) {
 /// Writes `model` in DiagNetModel's on-disk payload layout (tag
 /// 0xd1a60e7'0002), but with every network parameter passed through
 /// `param` first — how a bundle written while the network computed in
-/// fp64 carries weights no float holds.
-void write_payload(core::DiagNetModel& model,
-                   const std::function<double(double)>& param,
-                   util::BinaryWriter& writer) {
+/// fp64 carries weights no float holds. `forest`, when set, writes the
+/// auxiliary forest in place of the model's own.
+void write_payload(
+    core::DiagNetModel& model, const std::function<double(double)>& param,
+    util::BinaryWriter& writer,
+    const std::function<void(util::BinaryWriter&)>& forest = nullptr) {
   const data::FeatureSpace& fs = model.feature_space();
   const nn::CoarseNetConfig& coarse = model.config().coarse;
   writer.write_u64(0xd1a60e7'0002ULL);
@@ -200,7 +205,10 @@ void write_payload(core::DiagNetModel& model,
     writer.write_doubles(params(model.service_net(service)));
   }
   model.normalizer().save(writer);
-  model.auxiliary().save(writer);
+  if (forest)
+    forest(writer);
+  else
+    model.auxiliary().save(writer);
   writer.write_indices(model.unknown_features());
 }
 
@@ -235,6 +243,150 @@ TEST(BundleCompat, Fp64ParameterBundleLoadsAndServes) {
        p.split().test.landmark_available});
   ASSERT_TRUE(response.ok()) << response.status.message();
   EXPECT_EQ(response.diagnosis.scores.size(), p.feature_space().total());
+}
+
+// ---------------------------------------------------------------------------
+// Forest bundle validation: a forged auxiliary forest inside a bundle whose
+// checksum is valid must still be refused as data_loss, before a walk can
+// loop or a score can land out of bounds.
+
+struct ForgedNode {
+  std::int64_t feature = -1;
+  double threshold = 0.0;
+  std::int64_t left = -1;
+  std::int64_t right = -1;
+  std::vector<double> proba;
+};
+
+/// An ExtensibleForest stream field by field; the defaults form a valid
+/// one-tree forest (a root split on feature 0 and two leaves) over the
+/// pipeline's 55 features with one trained cause.
+struct ForgedForest {
+  std::uint64_t total_causes = 55;
+  std::vector<std::size_t> causes = {4};
+  std::uint64_t classes = 2;
+  std::uint64_t tree_classes = 2;
+  std::vector<ForgedNode> nodes = {{0, 0.5, 1, 2, {}},
+                                   {-1, 0.0, -1, -1, {0.75, 0.25}},
+                                   {-1, 0.0, -1, -1, {0.0, 1.0}}};
+
+  void write(util::BinaryWriter& writer) const {
+    const auto i64 = [&](std::int64_t v) {
+      writer.write_u64(static_cast<std::uint64_t>(v));
+    };
+    writer.write_u64(0xe47e4500ULL);
+    writer.write_u64(total_causes);
+    writer.write_indices(causes);
+    writer.write_u64(0xf03e5700ULL);
+    writer.write_u64(classes);
+    writer.write_u64(1);
+    writer.write_u64(0xd7ee0001ULL);
+    writer.write_u64(tree_classes);
+    writer.write_u64(nodes.size());
+    for (const ForgedNode& node : nodes) {
+      i64(node.feature);
+      writer.write_double(node.threshold);
+      i64(node.left);
+      i64(node.right);
+      writer.write_doubles(node.proba);
+    }
+  }
+};
+
+/// try_load_model over the pipeline's bundle carrying `forest`, framed
+/// with the registry header and a valid payload checksum.
+util::Status load_with_forest(const ForgedForest& forest) {
+  auto& p = pipeline();
+  std::stringstream payload;
+  util::BinaryWriter payload_writer(payload);
+  write_payload(
+      p.diagnet(), [](double v) { return v; }, payload_writer,
+      [&](util::BinaryWriter& writer) { forest.write(writer); });
+  const std::string bytes = payload.str();
+  std::stringstream file;
+  util::BinaryWriter writer(file);
+  writer.write_u64(0x44474e4554'4d4f44ULL);  // "DGNET MOD"
+  writer.write_u64(2);
+  writer.write_u64(util::fnv1a64(bytes.data(), bytes.size()));
+  writer.write_string(bytes);
+  return core::try_load_model(file, p.feature_space()).status();
+}
+
+void expect_refused(const ForgedForest& forest, const std::string& what) {
+  const util::Status status = load_with_forest(forest);
+  EXPECT_EQ(status.code(), util::StatusCode::kDataLoss) << status.message();
+  EXPECT_NE(status.message().find(what), std::string::npos)
+      << status.message();
+}
+
+TEST(ForestBundle, ForgedValidForestLoads) {
+  const util::Status status = load_with_forest(ForgedForest{});
+  EXPECT_TRUE(status.ok()) << status.message();
+}
+
+TEST(ForestBundle, RightChildAtTheRootIsRefused) {
+  ForgedForest forest;
+  forest.nodes[0].right = 0;  // a walk would loop forever
+  expect_refused(forest, "right child out of range");
+}
+
+TEST(ForestBundle, ChildBeyondTheTreeIsRefused) {
+  ForgedForest forest;
+  forest.nodes[0].right = 3;
+  expect_refused(forest, "right child out of range");
+}
+
+TEST(ForestBundle, LeftChildOutOfPreorderIsRefused) {
+  ForgedForest forest;
+  forest.nodes[0].left = 2;
+  expect_refused(forest, "left child is not self + 1");
+}
+
+TEST(ForestBundle, LeafOfTheWrongLengthIsRefused) {
+  ForgedForest forest;
+  forest.nodes[2].proba = {0.0, 0.5, 0.5};
+  expect_refused(forest, "leaf distribution of the wrong length");
+}
+
+TEST(ForestBundle, NonFiniteLeafIsRefused) {
+  ForgedForest forest;
+  forest.nodes[1].proba[0] = std::numeric_limits<double>::quiet_NaN();
+  expect_refused(forest, "non-finite leaf value");
+}
+
+TEST(ForestBundle, TreeClassCountMismatchIsRefused) {
+  ForgedForest forest;
+  forest.tree_classes = 3;
+  for (ForgedNode& node : forest.nodes)
+    if (node.feature < 0) node.proba.push_back(0.0);
+  expect_refused(forest, "tree class count differs");
+}
+
+TEST(ForestBundle, CauseMapOutOfOrderIsRefused) {
+  ForgedForest forest;
+  forest.causes = {9, 4};
+  forest.classes = forest.tree_classes = 3;
+  for (ForgedNode& node : forest.nodes)
+    if (node.feature < 0) node.proba.push_back(0.0);
+  expect_refused(forest, "cause map is not ascending");
+}
+
+TEST(ForestBundle, CauseBeyondTheCauseSpaceIsRefused) {
+  ForgedForest forest;
+  forest.causes = {55};  // score_causes would write scores[55] of 55
+  expect_refused(forest, "cause map is not ascending below 55");
+}
+
+TEST(ForestBundle, CauseMapOfTheWrongSizeIsRefused) {
+  ForgedForest forest;
+  forest.causes = {4, 9};  // three classes' worth, for a two-class forest
+  expect_refused(forest, "cause map does not match the class count");
+}
+
+TEST(ForestBundle, SplitFeatureBeyondTheFeatureSpaceIsRefused) {
+  ForgedForest forest;
+  forest.nodes[0].feature = 55;  // a walk would read sample[55] of 55
+  expect_refused(forest, "auxiliary forest does not fit the feature space");
 }
 
 TEST(ModelRegistry, GarbageInputRejected) {

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -779,6 +780,44 @@ TEST(Server, PrometheusExportsSpanHistograms) {
 }
 
 #if defined(__linux__)
+
+TEST(Server, PrometheusTypesEachSeriesOnce) {
+  ScopedObs scoped_obs;
+  auto& p = pipeline();
+  const std::vector<std::size_t> indices = p.faulty_test_indices();
+
+  auto provider = std::make_shared<serve::ModelProvider>(pipeline_model());
+  serve::DiagnosisService service(provider);
+  serve::Reactor reactor(service, p.feature_space(), serve::ReactorConfig{});
+  // A served request records serve.accepted and serve.queue_depth; a live
+  // reactor records its own counters and gauges. Each mirrors a field the
+  // Stats blocks export already.
+  EXPECT_TRUE(service.submit(request_for(indices[0])).get().ok());
+  service.stop();
+  obs::Registry& registry = obs::Registry::instance();
+  for (const char* name :
+       {"reactor.accepted", "reactor.idle_timeouts",
+        "reactor.slow_reader_closes", "reactor.oversized_lines",
+        "reactor.backpressure_stalls", "reactor.over_capacity"})
+    registry.counter(name).add();
+  registry.gauge("reactor.open_connections").set(1.0);
+  registry.gauge("reactor.buffered_bytes").set(0.0);
+
+  const serve::StatszSource source{&service, provider.get(),
+                                   std::chrono::steady_clock::now(),
+                                   &reactor};
+  const std::string prometheus = serve::statsz_prometheus(source);
+  std::set<std::string> names;
+  std::istringstream lines(prometheus);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    const std::string name = line.substr(7, line.find(' ', 7) - 7);
+    EXPECT_TRUE(names.insert(name).second) << "typed twice: " << name;
+  }
+  EXPECT_EQ(names.count("diagnet_serve_accepted_total"), 1u);
+  EXPECT_EQ(names.count("diagnet_reactor_accepted_total"), 1u);
+  EXPECT_EQ(names.count("diagnet_serve_batch_ms"), 1u);
+}
 
 TEST(Server, LoadgenDrivesReactorEndToEnd) {
   auto& p = pipeline();
