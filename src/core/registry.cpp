@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/binary_io.h"
 #include "util/require.h"
@@ -27,7 +28,7 @@ util::Status try_save_model(const DiagNetModel& model, std::ostream& os) {
     util::BinaryWriter payload_writer(payload_os);
     model.save(payload_writer);
   }
-  const std::string payload = payload_os.str();
+  const std::string payload = std::move(payload_os).str();
 
   util::BinaryWriter writer(os);
   writer.write_u64(kFileMagic);
@@ -62,12 +63,13 @@ util::StatusOr<std::unique_ptr<DiagNetModel>> try_load_model(
       return util::Status::data_loss(
           "model registry: unsupported version");
     const std::uint64_t checksum = reader.read_u64();
-    const std::string payload = reader.read_string();
+    std::string payload = reader.read_string();
     if (util::fnv1a64(payload.data(), payload.size()) != checksum)
       return util::Status::data_loss(
           "model registry: checksum mismatch (corrupt model bundle)");
 
-    std::istringstream payload_is(payload, std::ios::binary);
+    // The stream takes the payload over, so the bundle is held once.
+    std::istringstream payload_is(std::move(payload), std::ios::binary);
     util::BinaryReader payload_reader(payload_is);
     auto model = DiagNetModel::load(payload_reader, fs);
     if (info != nullptr) {

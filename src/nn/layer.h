@@ -7,6 +7,11 @@
 // network. Input gradients are first-class — the DiagNet attention
 // mechanism (paper §III-E) differentiates the loss with respect to the
 // *features*, not just the weights.
+//
+// A network holds weights only. Parameter gradients go to the caller's
+// CoarseWorkspace::param_grads, and the trainer owns the reduced gradient
+// and the optimizer state, so a served or cloned net costs its weight
+// bytes and nothing more.
 #pragma once
 
 #include "tensor/matrix.h"
@@ -15,16 +20,14 @@ namespace diagnet::nn {
 
 using tensor::Matrix;
 
-/// A trainable tensor: value, gradient accumulator, and a freeze flag used
-/// by service specialisation (paper §IV-F freezes the convolution and first
-/// hidden layer when deriving per-service models).
+/// A trainable tensor and its freeze flag, used by service specialisation
+/// (paper §IV-F freezes the convolution and first hidden layer when
+/// deriving per-service models).
 struct Parameter {
   Matrix value;
-  Matrix grad;
   bool frozen = false;
 
-  explicit Parameter(Matrix v) : value(std::move(v)), grad(value.rows(), value.cols()) {}
-  void zero_grad() { grad.fill(0.0f); }
+  explicit Parameter(Matrix v) : value(std::move(v)) {}
 };
 
 }  // namespace diagnet::nn

@@ -21,9 +21,10 @@ class SgdOptimizer {
   /// position, so the list must not change between steps.
   SgdOptimizer(std::vector<Parameter*> params, const SgdConfig& config);
 
-  /// Apply one update from the accumulated gradients, then zero them.
-  /// Frozen parameters are skipped entirely (their velocity stays put).
-  void step();
+  /// Apply one update from `grads` — one buffer per bound parameter, same
+  /// order and shapes, owned by the caller (the trainer) — then zero them
+  /// all. Frozen parameters keep their value and their velocity.
+  void step(std::vector<Matrix>& grads);
 
   const SgdConfig& config() const { return config_; }
 

@@ -78,7 +78,7 @@ struct Shard {
 /// Data-parallel minibatch engine. Each step cuts the batch into fixed
 /// 16-row shards, runs gather / forward+loss / backward as parallel_for
 /// phases over the shards, then reduces per-shard gradient accumulators
-/// into the shared parameter gradients in ascending shard order.
+/// into the trainer's gradient buffers in ascending shard order.
 class ShardEngine {
  public:
   ShardEngine(const CoarseNet& net, const CoarseDataset& data,
@@ -86,10 +86,11 @@ class ShardEngine {
       : net_(net), data_(data), pool_(pool) {}
 
   /// Forward + backward over rows[0, n). Accumulates dLoss/dParam for the
-  /// minibatch MEAN loss into `params` (assumed zeroed, as SgdOptimizer
-  /// leaves them) and returns the summed per-sample loss.
+  /// minibatch MEAN loss into `grads` (one per parameter, in parameters()
+  /// order, assumed zeroed, as SgdOptimizer leaves them) and returns the
+  /// summed per-sample loss.
   double train_step(const std::size_t* rows, std::size_t n,
-                    const std::vector<Parameter*>& params) {
+                    std::vector<Matrix>& grads) {
     std::size_t count = 0;
     {
       DIAGNET_SPAN("trainer.step.gather");
@@ -120,10 +121,9 @@ class ShardEngine {
       DIAGNET_SPAN("trainer.step.reduce");
       // Parallel over parameters; each parameter sums its shard accumulators
       // in ascending shard order, so the result is thread-count invariant.
-      pool_.parallel_for(params.size(), [&](std::size_t p) {
-        Matrix& g = params[p]->grad;
+      pool_.parallel_for(grads.size(), [&](std::size_t p) {
         for (std::size_t s = 0; s < count; ++s)
-          tensor::axpy(1.0f, shards_[s].ws.param_grads[p], g);
+          tensor::axpy(1.0f, shards_[s].ws.param_grads[p], grads[p]);
       });
     }
     double loss = 0.0;
@@ -197,20 +197,20 @@ PoolChoice choose_pool(std::size_t threads) {
 /// is summed in fixed parameter order on the caller thread, so the result
 /// — and therefore the whole training trajectory — is thread-count
 /// invariant.
-void clip_gradients(const std::vector<Parameter*>& params, double clip) {
+void clip_gradients(std::vector<Matrix>& grads, double clip) {
   if (clip <= 0.0) return;
   double sq = 0.0;  // a double sum over every squared fp32 gradient
-  for (const Parameter* p : params) {
-    const float* g = p->grad.data();
-    for (std::size_t i = 0; i < p->grad.size(); ++i)
+  for (const Matrix& grad : grads) {
+    const float* g = grad.data();
+    for (std::size_t i = 0; i < grad.size(); ++i)
       sq += static_cast<double>(g[i]) * g[i];
   }
   const double norm = std::sqrt(sq);
   if (!(norm > clip)) return;  // also skips NaN norms: nothing to rescue
   const auto scale = static_cast<float>(clip / norm);
-  for (Parameter* p : params) {
-    float* g = p->grad.data();
-    for (std::size_t i = 0; i < p->grad.size(); ++i) g[i] *= scale;
+  for (Matrix& grad : grads) {
+    float* g = grad.data();
+    for (std::size_t i = 0; i < grad.size(); ++i) g[i] *= scale;
   }
 }
 
@@ -250,8 +250,14 @@ TrainingHistory train_coarse(CoarseNet& net, const CoarseDataset& data,
   std::vector<std::size_t> train_rows(rows.begin() + val_count, rows.end());
   DIAGNET_REQUIRE_MSG(!train_rows.empty(), "empty training split");
 
+  // The network holds weights only: the reduced minibatch gradient, one
+  // zeroed buffer per parameter, lives here for the length of the fit.
   const std::vector<Parameter*> params = net.parameters();
   SgdOptimizer optimizer(params, config.sgd);
+  std::vector<Matrix> grads;
+  grads.reserve(params.size());
+  for (const Parameter* p : params)
+    grads.emplace_back(p->value.rows(), p->value.cols());
 
   PoolChoice pool = choose_pool(config.threads);
   ShardEngine engine(net, data, *pool.pool);
@@ -272,14 +278,14 @@ TrainingHistory train_coarse(CoarseNet& net, const CoarseDataset& data,
       const std::size_t end =
           std::min(train_rows.size(), begin + config.batch_size);
       train_loss +=
-          engine.train_step(train_rows.data() + begin, end - begin, params);
+          engine.train_step(train_rows.data() + begin, end - begin, grads);
       {
         DIAGNET_SPAN("trainer.step.clip");
-        clip_gradients(params, config.clip_norm);
+        clip_gradients(grads, config.clip_norm);
       }
       {
         DIAGNET_SPAN("trainer.step.optimizer");
-        optimizer.step();
+        optimizer.step(grads);
       }
     }
     train_loss /= static_cast<double>(train_rows.size());

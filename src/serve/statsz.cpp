@@ -121,6 +121,8 @@ std::string statsz_json(const StatszSource& source) {
   out += ",\"kernel\":{";
   out += "\"tier\":\"" + std::string(tensor::active_kernel_tier_name());
   out += "\",\"cpu\":\"" + tensor::cpu_features_string() + "\"}";
+  out += ",\"process\":{\"peak_rss_kib\":" +
+         std::to_string(obs::peak_rss_kib()) + '}';
   out += ",\"metrics\":" + obs::metrics_to_json();
   out += '}';
   return out;
@@ -142,6 +144,8 @@ std::string statsz_prometheus(const StatszSource& source) {
 
   emit("diagnet_uptime_seconds", "gauge",
        std::chrono::duration<double>(clock::now() - source.start).count());
+  emit("diagnet_process_peak_rss_bytes", "gauge",
+       1024.0 * static_cast<double>(obs::peak_rss_kib()));
   if (source.service != nullptr) {
     const DiagnosisService::Stats stats = source.service->stats();
     emit("diagnet_serve_queue_depth", "gauge",

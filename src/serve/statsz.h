@@ -3,9 +3,9 @@
 //
 //  * statsz_json()       — a single-line JSON object: uptime, queue depth,
 //                          in-flight batches, admission-control counters,
-//                          the model's generation + registry checksum, and
-//                          the full telemetry registry (counters / gauges /
-//                          histograms).
+//                          the model's generation + registry checksum, the
+//                          process's peak RSS, and the full telemetry
+//                          registry (counters / gauges / histograms).
 //  * statsz_prometheus() — the same data in Prometheus text exposition
 //                          format (counters, gauges, and summary-style
 //                          quantile series for every histogram, span

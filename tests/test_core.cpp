@@ -80,14 +80,6 @@ TEST(Attention, MaskedLandmarkGetsZeroAttention) {
   }
 }
 
-TEST(Attention, DoesNotLeakParameterGradients) {
-  CoreFixture fixture;
-  testkit::attention(*fixture.net, fixture.sample(3), fixture.fs);
-  for (nn::Parameter* param : fixture.net->parameters())
-    for (std::size_t i = 0; i < param->grad.size(); ++i)
-      EXPECT_DOUBLE_EQ(param->grad.data()[i], 0.0);
-}
-
 TEST(Attention, RejectsBatches) {
   // Occlusion probes one sample at a time; the gradient path takes whole
   // batches but rejects a group row outside the batch.

@@ -21,6 +21,19 @@
 #include "util/binary_io.h"
 #include "util/rng.h"
 
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+#include <malloc.h>
+#define DIAGNET_TEST_MALLINFO2 1
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define DIAGNET_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DIAGNET_TEST_ASAN 1
+#endif
+#endif
+
 namespace diagnet {
 namespace {
 
@@ -122,6 +135,51 @@ TEST(ModelRegistry, SpecialisedHeadsSurvive) {
   for (const auto& [service, history] : p.specialization_history())
     EXPECT_TRUE((*restored)->has_specialized(service));
 }
+
+#if defined(DIAGNET_TEST_MALLINFO2) && !defined(DIAGNET_TEST_ASAN)
+
+/// Bytes the allocator has handed out and not taken back: arena chunks in
+/// use plus mmapped chunks, summed over every arena.
+std::size_t heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(ModelRegistry, LoadedBundleHoldsWeightsAndForestOnly) {
+  // A loaded bundle is a served model: it should cost its fp32 weights and
+  // its forest, not a gradient buffer per parameter or a second copy of
+  // the payload. The forest's share is measured the same way, by loading
+  // it alone.
+  auto& p = pipeline();
+  core::DiagNetModel& model = p.diagnet();
+  std::size_t parameters = model.general_net().parameter_count();
+  for (const std::size_t service : model.specialized_services())
+    parameters += model.service_net(service).parameter_count();
+  const std::size_t parameter_bytes = parameters * sizeof(float);
+
+  std::stringstream forest_stream;
+  util::BinaryWriter forest_writer(forest_stream);
+  model.auxiliary().save(forest_writer);
+  util::BinaryReader forest_reader(forest_stream);
+  const std::size_t before_forest = heap_in_use();
+  forest::ExtensibleForest forest;
+  forest.load(forest_reader);
+  const std::size_t forest_bytes = heap_in_use() - before_forest;
+
+  std::stringstream bundle;
+  ASSERT_TRUE(core::try_save_model(model, bundle).ok());
+  const std::size_t before = heap_in_use();
+  auto loaded = core::try_load_model(bundle, p.feature_space());
+  const std::size_t growth = heap_in_use() - before;
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+
+  EXPECT_LT(static_cast<double>(growth),
+            1.25 * static_cast<double>(parameter_bytes + forest_bytes))
+      << "parameters " << parameter_bytes << " B, forest " << forest_bytes
+      << " B, load grew the heap by " << growth << " B";
+}
+
+#endif
 
 // ---------------------------------------------------------------------------
 // Bundle compatibility: parameters are fp32 in memory and fp64 on disk.

@@ -779,6 +779,37 @@ TEST(Server, PrometheusExportsSpanHistograms) {
             std::string::npos);
 }
 
+TEST(Server, StatszAndMetricsReportOnePeakRss) {
+  const serve::StatszSource source{nullptr, nullptr,
+                                   std::chrono::steady_clock::now()};
+  const auto peak_kib = [&source] {
+    auto tree = serve::parse_json(serve::statsz_json(source));
+    EXPECT_TRUE(tree.ok()) << tree.status().to_string();
+    if (!tree.ok()) return 0.0;
+    const serve::JsonValue* process = tree->find("process");
+    const serve::JsonValue* peak =
+        process != nullptr ? process->find("peak_rss_kib") : nullptr;
+    EXPECT_NE(peak, nullptr);
+    return peak != nullptr ? peak->as_number() : 0.0;
+  };
+  // Peak RSS only grows, so the scrape between two snapshots is bracketed
+  // by them (up to the exposition's 9 significant digits).
+  const double before_kib = peak_kib();
+  const std::string prometheus = serve::statsz_prometheus(source);
+  const double after_kib = peak_kib();
+  EXPECT_GT(before_kib, 0.0);
+
+  const std::string series = "\ndiagnet_process_peak_rss_bytes ";
+  EXPECT_NE(prometheus.find("# TYPE diagnet_process_peak_rss_bytes gauge\n"),
+            std::string::npos)
+      << prometheus;
+  const std::size_t at = prometheus.find(series);
+  ASSERT_NE(at, std::string::npos) << prometheus;
+  const double bytes = std::stod(prometheus.substr(at + series.size()));
+  EXPECT_GE(bytes, 1024.0 * before_kib * (1.0 - 1e-8));
+  EXPECT_LE(bytes, 1024.0 * after_kib * (1.0 + 1e-8));
+}
+
 #if defined(__linux__)
 
 TEST(Server, PrometheusTypesEachSeriesOnce) {

@@ -20,47 +20,47 @@ constexpr double kStepTol = 4.0 * FLT_EPSILON;
 
 TEST(Sgd, PlainMomentumStepMatchesHand) {
   Parameter p(Matrix{{1.0}});
-  p.grad(0, 0) = 0.5;
+  std::vector<Matrix> grads{Matrix{{0.5}}};
   SgdConfig config;
   config.learning_rate = 0.1;
   config.momentum = 0.9;
   config.weight_decay = 0.0;
   config.nesterov = false;
   SgdOptimizer opt({&p}, config);
-  opt.step();
+  opt.step(grads);
   // v = -0.1 * 0.5 = -0.05; w = 1 - 0.05 = 0.95.
   EXPECT_NEAR(p.value(0, 0), 0.95, kStepTol);
-  EXPECT_DOUBLE_EQ(p.grad(0, 0), 0.0);  // grads cleared
+  EXPECT_DOUBLE_EQ(grads[0](0, 0), 0.0);  // grads cleared
 
-  p.grad(0, 0) = 0.5;
-  opt.step();
+  grads[0](0, 0) = 0.5;
+  opt.step(grads);
   // v = 0.9*(-0.05) - 0.05 = -0.095; w = 0.95 - 0.095 = 0.855.
   EXPECT_NEAR(p.value(0, 0), 0.855, 2.0 * kStepTol);  // two steps
 }
 
 TEST(Sgd, NesterovStepMatchesHand) {
   Parameter p(Matrix{{1.0}});
-  p.grad(0, 0) = 0.5;
+  std::vector<Matrix> grads{Matrix{{0.5}}};
   SgdConfig config;
   config.learning_rate = 0.1;
   config.momentum = 0.9;
   config.weight_decay = 0.0;
   config.nesterov = true;
   SgdOptimizer opt({&p}, config);
-  opt.step();
+  opt.step(grads);
   // v = -0.05; w += 0.9*(-0.05) - 0.05 = -0.095 -> 0.905.
   EXPECT_NEAR(p.value(0, 0), 0.905, kStepTol);
 }
 
 TEST(Sgd, WeightDecayPullsTowardZero) {
   Parameter p(Matrix{{10.0}});
-  p.grad(0, 0) = 0.0;
+  std::vector<Matrix> grads{Matrix{{0.0}}};
   SgdConfig config;
   config.learning_rate = 0.1;
   config.momentum = 0.0;
   config.weight_decay = 0.01;
   SgdOptimizer opt({&p}, config);
-  opt.step();
+  opt.step(grads);
   EXPECT_LT(p.value(0, 0), 10.0);
   EXPECT_GT(p.value(0, 0), 9.9);
 }
@@ -68,12 +68,12 @@ TEST(Sgd, WeightDecayPullsTowardZero) {
 TEST(Sgd, FrozenParameterUntouched) {
   Parameter p(Matrix{{2.0}});
   p.frozen = true;
-  p.grad(0, 0) = 5.0;
+  std::vector<Matrix> grads{Matrix{{5.0}}};
   SgdConfig config;
   SgdOptimizer opt({&p}, config);
-  opt.step();
+  opt.step(grads);
   EXPECT_DOUBLE_EQ(p.value(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(p.grad(0, 0), 0.0);  // stale grads still cleared
+  EXPECT_DOUBLE_EQ(grads[0](0, 0), 0.0);  // stale grads still cleared
 }
 
 TEST(Sgd, RejectsBadHyperparameters) {
