@@ -88,8 +88,8 @@ std::vector<AttentionResult> compute_attention_shared_pooling(
   std::vector<AttentionResult> results(n);
   if (n == 0 || groups.empty()) return results;
 
-  // One pooling forward over the union batch, through the first head's
-  // (shared) LandPooling.
+  // One pooling forward over the union batch, through the heads' one
+  // LandPooling.
   const nn::LandPooling& pooling = groups.front().net->pooling();
   nn::LandPooling::PoolContext ctx;
   nn::Matrix pooled;
@@ -100,8 +100,8 @@ std::vector<AttentionResult> compute_attention_shared_pooling(
   nn::Matrix grad_pooled(n, pooled.cols()), grad_local(n, batch.local.cols());
   for (const PooledGroup& grp : groups) {
     const nn::CoarseNet& net = *grp.net;
-    DIAGNET_REQUIRE_MSG(net.shares_pooling_with(*groups.front().net),
-                        "shared-pooling group with divergent pooling");
+    DIAGNET_REQUIRE_MSG(&net.pooling() == &pooling,
+                        "shared-pooling group on another LandPooling");
     const std::size_t m = grp.rows.size();
     if (m == 0) continue;
     for (const std::size_t r : grp.rows) DIAGNET_REQUIRE(r < n);

@@ -32,11 +32,10 @@ struct PooledGroup {
 /// Gradient attention — the only implementation: one forward and one
 /// input-only backward pass (no parameter gradient is computed, nothing is
 /// written to the nets). The batch is a union scored by one or more
-/// networks that share one frozen LandPooling (groups[i].net must satisfy
-/// shares_pooling_with(groups[0].net); the caller checks before grouping).
-/// The pooling forward and backward each run ONCE over the whole union and
-/// the FC stacks fan out per head — the perf point of frozen-kernel
-/// specialization; a single-network batch is a union of one group. Result
+/// networks on one LandPooling object (every groups[i].net->pooling() is
+/// groups[0]'s, as for the nets of one DiagNetModel). The pooling forward
+/// and backward each run ONCE over the whole union and the FC stacks fan
+/// out per head; a single-network batch is a union of one group. Result
 /// r is bit-identical to running row r alone through its own net: pooling,
 /// softmax and every kernel row-group are per-row independent and
 /// batch-size invariant. groups must partition [0, batch.size()).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/attention.h"
 #include "data/encoding.h"
@@ -13,10 +14,9 @@ namespace diagnet::core {
 namespace {
 
 /// A run of request indices encoded and pooled together; at most batch_size
-/// long. Each part is one serving network's slice of the chunk's rows; a
-/// multi-part chunk is a shared-pooling union of specialized heads with
-/// bit-identical frozen LandPooling parameters, whose pooling stage runs
-/// once for all of them. The mask pointer refers either to a request's own
+/// long. Each part is one serving network's slice of the chunk's rows; the
+/// parts share the model's one LandPooling, whose stage runs once for all
+/// of them. The mask pointer refers either to a request's own
 /// landmark_available vector or to the shared all-true fallback.
 struct Chunk {
   const std::vector<bool>* mask = nullptr;
@@ -34,14 +34,6 @@ struct MaskGroup {
   const std::vector<bool>* mask = nullptr;
   std::vector<NetRun> runs;
 };
-
-/// The chunk rows [begin, begin + count) as a PooledGroup of `net`.
-PooledGroup row_range(const nn::CoarseNet* net, std::size_t begin,
-                      std::size_t count) {
-  PooledGroup group{net, std::vector<std::size_t>(count)};
-  for (std::size_t s = 0; s < count; ++s) group.rows[s] = begin + s;
-  return group;
-}
 
 /// False when a row's coarse probabilities or attention are NaN/inf —
 /// finite features that overflow the network get there — so the row is
@@ -84,7 +76,7 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
     const DiagnoseRequest& request = requests[i];
     results[i].status = model_->validate(request);
     if (!results[i].status.ok()) continue;
-    const nn::CoarseNet* net = config_.use_general || request.use_general
+    const nn::CoarseNet* net = request.use_general
                                    ? &model_->general_net()
                                    : &model_->service_net(request.service);
     const std::vector<bool>* mask = request.landmark_available.empty()
@@ -107,60 +99,28 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
     rit->indices.push_back(i);
   }
 
-  // Cut each mask group into chunks. When several networks share bit-equal
-  // frozen LandPooling parameters (specialized heads fine-tuned with
-  // --freeze-kernel, plus their donor), their requests ride in ONE union
-  // chunk and the pooling stage runs once — gradient attention only;
-  // occlusion re-runs the full per-net forward anyway.
+  // Cut each mask group, net-grouped, into union chunks of at most
+  // batch_size rows: every net of a model runs on one LandPooling.
   std::vector<Chunk> chunks;
   std::size_t shared_chunks = 0;
   for (const MaskGroup& g : mask_groups) {
-    const bool share =
-        gradient && g.runs.size() > 1 &&
-        std::all_of(g.runs.begin() + 1, g.runs.end(), [&](const NetRun& r) {
-          return r.net->shares_pooling_with(*g.runs.front().net);
-        });
-    if (!share) {
-      for (const NetRun& run : g.runs) {
-        for (std::size_t b = 0; b < run.indices.size();
-             b += config_.batch_size) {
-          const std::size_t e =
-              std::min(run.indices.size(), b + config_.batch_size);
-          Chunk c;
-          c.mask = g.mask;
-          c.indices.assign(run.indices.begin() + static_cast<std::ptrdiff_t>(b),
-                           run.indices.begin() + static_cast<std::ptrdiff_t>(e));
-          c.parts = {row_range(run.net, 0, c.indices.size())};
-          chunks.push_back(std::move(c));
-        }
+    std::vector<std::pair<std::size_t, const nn::CoarseNet*>> rows;
+    for (const NetRun& run : g.runs)
+      for (const std::size_t i : run.indices) rows.emplace_back(i, run.net);
+    for (std::size_t b = 0; b < rows.size(); b += config_.batch_size) {
+      Chunk c;
+      c.mask = g.mask;
+      const std::size_t e = std::min(rows.size(), b + config_.batch_size);
+      for (std::size_t r = b; r < e; ++r) {
+        const auto [i, net] = rows[r];
+        if (c.parts.empty() || c.parts.back().net != net)
+          c.parts.push_back({net, {}});
+        c.parts.back().rows.push_back(c.indices.size());
+        c.indices.push_back(i);
       }
-      continue;
-    }
-    Chunk c;
-    c.mask = g.mask;
-    const auto flush = [&] {
-      if (c.indices.empty()) return;
       if (c.parts.size() > 1) ++shared_chunks;
       chunks.push_back(std::move(c));
-      c = Chunk{};
-      c.mask = g.mask;
-    };
-    for (const NetRun& run : g.runs) {
-      std::size_t pos = 0;
-      while (pos < run.indices.size()) {
-        const std::size_t take = std::min(run.indices.size() - pos,
-                                          config_.batch_size - c.indices.size());
-        const std::size_t begin = c.indices.size();
-        c.indices.insert(
-            c.indices.end(),
-            run.indices.begin() + static_cast<std::ptrdiff_t>(pos),
-            run.indices.begin() + static_cast<std::ptrdiff_t>(pos + take));
-        c.parts.push_back(row_range(run.net, begin, take));
-        pos += take;
-        if (c.indices.size() == config_.batch_size) flush();
-      }
     }
-    flush();
   }
   DIAGNET_COUNT_N("diagnose.batch.chunks", chunks.size());
   DIAGNET_COUNT_N("diagnose.batch.shared_pool_chunks", shared_chunks);

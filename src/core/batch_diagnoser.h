@@ -4,17 +4,14 @@
 // DiagNetModel::diagnose(request) is run({request})[0].
 //
 // Requests are grouped by landmark mask, then by serving network — a
-// service's specialised model when one exists, the general model otherwise.
-// Each group is cut into batches of `batch_size` rows, and batches are
+// service's specialised head when one exists, the general model otherwise
+// — and each mask group is cut into union chunks of `batch_size` rows,
 // processed in parallel on a thread pool against the shared const
-// networks, each batch with its own workspace. Inside a batch the coarse
-// network runs ONE forward pass and ONE input-only backward pass for all
-// rows (core/attention.h, compute_attention_shared_pooling); everything
-// downstream of the attention step is per-row. When the networks within a
-// mask group share bit-identical frozen LandPooling parameters (per-service
-// heads fine-tuned with --freeze-kernel), their requests share union
-// batches: the pooling stage — forward and backward — runs once per batch
-// for ALL services and only the cheap FC stacks fan out per head.
+// networks, each chunk with its own workspace. Every head of a model runs
+// on the general's one LandPooling, so inside a chunk the pooling stage
+// (forward and input-only backward) runs ONCE for all services and only
+// the FC stacks fan out per head (core/attention.h); occlusion attention
+// walks each head's rows one by one. Everything after attention is per-row.
 //
 // Exactness contract: run(requests)[i].diagnosis is bit-identical to
 // run({requests[i]})[0].diagnosis, i.e. to model.diagnose(requests[i]) —
@@ -42,10 +39,6 @@ struct BatchDiagnoserConfig {
   /// Pool for outer parallelism over batches; nullptr selects the global
   /// pool.
   util::ThreadPool* pool = nullptr;
-  /// Route every request through the general model, ignoring services.
-  /// (Per-request routing is expressed with DiagnoseRequest::use_general;
-  /// this config toggle forces it for the whole run.)
-  bool use_general = false;
 };
 
 class BatchDiagnoser {

@@ -102,7 +102,11 @@ nn::TrainingHistory DiagNetModel::specialize(std::size_t service,
   trainer.seed = config_.seed ^ (0x5e77ULL + service);
   nn::TrainingHistory history = train_coarse(*net, coarse, trainer);
 
-  specialized_[service] = std::move(net);
+  // Training leaves frozen parameters untouched, so the trained head's
+  // representation is the general's bit for bit: keep only its tail.
+  auto head = general_->head(net->save_parameters());
+  DIAGNET_REQUIRE_MSG(head, "specialisation changed a frozen parameter");
+  specialized_[service] = std::move(head);
   return history;
 }
 
@@ -131,12 +135,18 @@ util::Status DiagNetModel::adopt_specialized(std::size_t service,
       fs_->landmark_count() != donor.fs_->landmark_count())
     return util::Status::failed_precondition(
         "donor bundle was built for a different feature space");
-  if (!it->second->shares_pooling_with(*general_))
+  // The donor's head runs on its general's representation; it must be ours
+  // bit for bit before the head can run on our objects instead.
+  auto head = it->second->config() == general_->config()
+                  ? general_->head(it->second->save_parameters())
+                  : nullptr;
+  if (!head)
     return util::Status::failed_precondition(
         "specialized head for service " + std::to_string(service) +
-        " does not share this model's frozen pooling kernel (fine-tune with "
-        "--freeze-kernel from the same general bundle)");
-  specialized_[service] = std::move(it->second);
+        " was not fine-tuned on this model's frozen representation "
+        "(LandPooling and first hidden layer; fine-tune with --freeze-kernel "
+        "from the same general bundle)");
+  specialized_[service] = std::move(head);
   donor.specialized_.erase(it);
   return util::Status();
 }
@@ -339,9 +349,15 @@ std::unique_ptr<DiagNetModel> DiagNetModel::load(
   const std::uint64_t specialized_count = reader.read_u64();
   for (std::uint64_t i = 0; i < specialized_count; ++i) {
     const auto service = static_cast<std::size_t>(reader.read_u64());
-    auto net = model->general_->clone();
-    net->load_parameters(reader.read_doubles());
-    model->specialized_[service] = std::move(net);
+    // Each head's blob repeats the general's frozen representation; the
+    // head is bound to the general's objects, so the copy must match.
+    auto head = model->general_->head(reader.read_doubles());
+    if (!head)
+      throw std::runtime_error(
+          "model registry: specialized head for service " +
+          std::to_string(service) +
+          " does not carry the general model's frozen representation");
+    model->specialized_[service] = std::move(head);
   }
 
   model->normalizer_.load(reader, fs);

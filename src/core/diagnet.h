@@ -9,7 +9,7 @@
 //                      network, freeze the representation (convolution +
 //                      first hidden layer), retrain the final
 //                      fully-connected layers on that service's samples
-//                      (§III-D, §IV-F).
+//                      (§III-D, §IV-F); the stored head keeps only those.
 //   diagnose()       — rank all m root causes for one degraded sample:
 //                      coarse prediction -> gradient attention (§III-E) ->
 //                      Algorithm 1 score weighting -> ensemble averaging
@@ -119,7 +119,8 @@ class DiagNetModel {
   nn::TrainingHistory train_general(const data::Dataset& train);
 
   /// Derive the specialised model for `service` from the general model.
-  /// Uses only the training samples of that service.
+  /// Uses only the training samples of that service. The stored head is
+  /// bound to the general's representation (nn::CoarseNet::head).
   nn::TrainingHistory specialize(std::size_t service,
                                  const data::Dataset& train);
 
@@ -152,10 +153,10 @@ class DiagNetModel {
 
   /// Move `donor`'s specialized head for `service` into this model — the
   /// serving router uses this to merge per-service fine-tuned bundles into
-  /// one serving model. Fails unless the head was fine-tuned from the same
-  /// frozen representation (bit-identical LandPooling parameters and
-  /// matching feature space), which is what lets the batched engine share
-  /// pooling work across services. On success the donor loses the head.
+  /// one serving model. Fails unless the head has our architecture and
+  /// feature space and runs on a bit-identical frozen representation
+  /// (LandPooling and first hidden layer). On success the head is rebound
+  /// to this model's representation and the donor loses it.
   util::Status adopt_specialized(std::size_t service, DiagNetModel& donor);
 
   /// Services with a specialized head, ascending.
@@ -167,6 +168,8 @@ class DiagNetModel {
   const data::Normalizer& normalizer() const { return normalizer_; }
   const forest::ExtensibleForest& auxiliary() const { return auxiliary_; }
   nn::CoarseNet& general_net();
+  /// The head for `service`, or the general net; a head shares the
+  /// general's representation layers.
   nn::CoarseNet& service_net(std::size_t service);
   /// Features unseen during training (the set U of §III-F).
   const std::vector<std::size_t>& unknown_features() const {
@@ -175,7 +178,8 @@ class DiagNetModel {
   const DiagNetConfig& config() const { return config_; }
 
   /// Binary persistence of the trained state (see core/registry.h for the
-  /// user-facing file API). save() requires a trained model.
+  /// user-facing file API). save() requires a trained model. load()
+  /// refuses a head whose stored representation differs from the general's.
   void save(util::BinaryWriter& writer) const;
   static std::unique_ptr<DiagNetModel> load(util::BinaryReader& reader,
                                             const data::FeatureSpace& fs);

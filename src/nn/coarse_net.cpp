@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -34,16 +35,17 @@ void relu_gate_inplace(const Matrix& post, Matrix& grad) {
 
 CoarseNet::CoarseNet(const CoarseNetConfig& config, util::Rng& rng)
     : config_(config),
-      pool_(config.features_per_landmark, config.filters, config.pool_ops,
-            rng) {
+      pool_(std::make_shared<LandPooling>(config.features_per_landmark,
+                                          config.filters, config.pool_ops,
+                                          rng)) {
   DIAGNET_REQUIRE(config.classes >= 2);
-  local_offset_ = pool_.out_features();
-  std::size_t in = pool_.out_features() + config.local_features;
+  local_offset_ = pool_->out_features();
+  std::size_t in = pool_->out_features() + config.local_features;
   for (std::size_t h : config.hidden) {
-    fc_.emplace_back(in, h, rng);
+    fc_.push_back(std::make_shared<Linear>(in, h, rng));
     in = h;
   }
-  fc_.emplace_back(in, config.classes, rng);
+  fc_.push_back(std::make_shared<Linear>(in, config.classes, rng));
 }
 
 void CoarseNet::init_workspace(CoarseWorkspace& ws) const {
@@ -57,7 +59,7 @@ void CoarseNet::init_workspace(CoarseWorkspace& ws) const {
 const Matrix& CoarseNet::forward(const LandBatch& batch,
                                  CoarseWorkspace& ws) const {
   DIAGNET_REQUIRE(batch.local.rows() == batch.land.rows());
-  pool_.forward(batch.land, batch.mask, ws.pool, ws.pooled);
+  pool_->forward(batch.land, batch.mask, ws.pool, ws.pooled);
   return forward_fc(ws.pooled, batch.local, ws);
 }
 
@@ -79,11 +81,11 @@ const Matrix& CoarseNet::forward_fc(const Matrix& pooled, const Matrix& local,
 
   const Matrix* x = &ws.concat;
   for (std::size_t i = 0; i < hidden; ++i) {
-    fc_[i].forward_into(*x, ws.act[i]);
+    fc_[i]->forward_into(*x, ws.act[i]);
     relu_inplace(ws.act[i]);
     x = &ws.act[i];
   }
-  fc_.back().forward_into(*x, ws.logits);
+  fc_.back()->forward_into(*x, ws.logits);
   return ws.logits;
 }
 
@@ -98,13 +100,13 @@ void CoarseNet::backward(const Matrix& grad_logits,
   const std::size_t last = fc_.size() - 1;
   const Matrix& last_in = last == 0 ? ws.concat : ws.act.back();
   auto [lw, lb] = fc_grad(last);
-  fc_[last].backward_into(last_in, grad_logits, lw, lb, &ws.grad_a);
+  fc_[last]->backward_into(last_in, grad_logits, lw, lb, &ws.grad_a);
 
   for (std::size_t i = last; i-- > 0;) {
     relu_gate_inplace(ws.act[i], ws.grad_a);
     const Matrix& in = i == 0 ? ws.concat : ws.act[i - 1];
     auto [w, b] = fc_grad(i);
-    fc_[i].backward_into(in, ws.grad_a, w, b, &ws.grad_b);
+    fc_[i]->backward_into(in, ws.grad_a, w, b, &ws.grad_b);
     std::swap(ws.grad_a, ws.grad_b);
   }
 
@@ -115,17 +117,17 @@ void CoarseNet::backward(const Matrix& grad_logits,
     const float* row = ws.grad_a.row_ptr(r);
     std::copy(row, row + local_offset_, ws.grad_pooled.row_ptr(r));
   }
-  pool_.backward_params(ws.grad_pooled, ws.pool, ws.param_grads[0],
+  pool_->backward_params(ws.grad_pooled, ws.pool, ws.param_grads[0],
                         ws.param_grads[1]);
 }
 
 void CoarseNet::backward_inputs(const Matrix& grad_logits,
                                 CoarseWorkspace& ws, Matrix* grad_land) const {
   const std::size_t last = fc_.size() - 1;
-  fc_[last].backward_input(grad_logits, ws.grad_a);
+  fc_[last]->backward_input(grad_logits, ws.grad_a);
   for (std::size_t i = last; i-- > 0;) {
     relu_gate_inplace(ws.act[i], ws.grad_a);
-    fc_[i].backward_input(ws.grad_a, ws.grad_b);
+    fc_[i]->backward_input(ws.grad_a, ws.grad_b);
     std::swap(ws.grad_a, ws.grad_b);
   }
 
@@ -139,19 +141,21 @@ void CoarseNet::backward_inputs(const Matrix& grad_logits,
     std::copy(row + local_offset_, row + local_offset_ + config_.local_features,
               ws.grad_local.row_ptr(r));
   }
-  if (grad_land) pool_.backward_input(ws.grad_pooled, ws.pool, *grad_land);
-}
-
-bool CoarseNet::shares_pooling_with(const CoarseNet& other) const {
-  return local_offset_ == other.local_offset_ &&
-         pool_.same_parameters(other.pool_);
+  if (grad_land) pool_->backward_input(ws.grad_pooled, ws.pool, *grad_land);
 }
 
 std::vector<Parameter*> CoarseNet::parameters() {
-  std::vector<Parameter*> params = pool_.parameters();
+  std::vector<Parameter*> params = pool_->parameters();
   for (auto& layer : fc_) {
-    for (Parameter* p : layer.parameters()) params.push_back(p);
+    for (Parameter* p : layer->parameters()) params.push_back(p);
   }
+  return params;
+}
+
+std::vector<Parameter*> CoarseNet::representation() const {
+  std::vector<Parameter*> params = pool_->parameters();
+  for (std::size_t i = 0; i < representation_layers(); ++i)
+    for (Parameter* p : fc_[i]->parameters()) params.push_back(p);
   return params;
 }
 
@@ -170,18 +174,25 @@ std::size_t CoarseNet::trainable_parameter_count() const {
 }
 
 void CoarseNet::freeze_representation(bool frozen) {
-  for (Parameter* p : pool_.parameters()) p->frozen = frozen;
-  // Freeze every hidden layer except the last one; the "final
-  // fully-connected layers" (last hidden + output) stay trainable.
-  DIAGNET_REQUIRE(!fc_.empty());
-  const std::size_t keep_from = fc_.size() >= 2 ? fc_.size() - 2 : 0;
-  for (std::size_t i = 0; i < keep_from; ++i) {
-    for (Parameter* p : fc_[i].parameters()) p->frozen = frozen;
-  }
+  // The "final fully-connected layers" (last hidden + output) stay
+  // trainable.
+  for (Parameter* p : representation()) p->frozen = frozen;
 }
 
 std::unique_ptr<CoarseNet> CoarseNet::clone() const {
-  return std::unique_ptr<CoarseNet>(new CoarseNet(*this));
+  auto net = std::unique_ptr<CoarseNet>(new CoarseNet(*this));
+  net->pool_ = std::make_shared<LandPooling>(*pool_);
+  for (auto& layer : net->fc_) layer = std::make_shared<Linear>(*layer);
+  return net;
+}
+
+std::unique_ptr<CoarseNet> CoarseNet::head(
+    const std::vector<double>& flat) const {
+  auto net = std::unique_ptr<CoarseNet>(new CoarseNet(*this));  // shares all
+  for (std::size_t i = representation_layers(); i < fc_.size(); ++i)
+    net->fc_[i] = std::make_shared<Linear>(*fc_[i]);
+  if (!net->assign(flat, representation().size())) return nullptr;
+  return net;
 }
 
 std::vector<double> CoarseNet::save_parameters() const {
@@ -194,22 +205,32 @@ std::vector<double> CoarseNet::save_parameters() const {
 }
 
 void CoarseNet::load_parameters(const std::vector<double>& flat) {
+  assign(flat, 0);
+}
+
+bool CoarseNet::assign(const std::vector<double>& flat, std::size_t verify) {
+  const std::vector<Parameter*> params = parameters();
   std::size_t off = 0;
-  for (Parameter* p : parameters()) {
-    DIAGNET_REQUIRE_MSG(off + p->value.size() <= flat.size(),
+  for (std::size_t k = 0; k < params.size(); ++k) {
+    Matrix& value = params[k]->value;
+    DIAGNET_REQUIRE_MSG(off + value.size() <= flat.size(),
                         "parameter blob too short");
-    float* d = p->value.data();
-    for (std::size_t i = 0; i < p->value.size(); ++i) {
+    for (std::size_t i = 0; i < value.size(); ++i) {
       const double v = flat[off + i];
       // Narrowing a finite double past float's range is undefined.
       DIAGNET_REQUIRE_MSG(!std::isfinite(v) ||
                               std::abs(v) <= std::numeric_limits<float>::max(),
                           "parameter outside the float range");
-      d[i] = static_cast<float>(v);
+      const float f = static_cast<float>(v);
+      if (k >= verify)
+        value.data()[i] = f;
+      else if (std::memcmp(&f, value.data() + i, sizeof f) != 0)
+        return false;
     }
-    off += p->value.size();
+    off += value.size();
   }
   DIAGNET_REQUIRE_MSG(off == flat.size(), "parameter blob too long");
+  return true;
 }
 
 }  // namespace diagnet::nn

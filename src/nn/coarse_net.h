@@ -27,6 +27,8 @@ struct CoarseNetConfig {
   std::vector<PoolOp> pool_ops = default_pool_ops();
   std::vector<std::size_t> hidden = {512, 128};
   std::size_t classes = 7;                 // c
+
+  bool operator==(const CoarseNetConfig&) const = default;
 };
 
 /// Per-thread forward/backward state: activations, gradient scratch, and
@@ -100,18 +102,21 @@ class CoarseNet {
   /// the service-specialisation split of paper §IV-F.
   void freeze_representation(bool frozen = true);
 
-  /// True when this net's LandPooling computes bit-identical pooled rows to
-  /// `other`'s — the precondition for the serving router to share one
-  /// pooling pass across specialized heads.
-  bool shares_pooling_with(const CoarseNet& other) const;
-
   const CoarseNetConfig& config() const { return config_; }
-  LandPooling& pooling() { return pool_; }
-  const LandPooling& pooling() const { return pool_; }
+  LandPooling& pooling() { return *pool_; }
+  const LandPooling& pooling() const { return *pool_; }
 
-  /// Deep copy (shares nothing) — used to derive specialised models from
-  /// the general model and to rebuild them on load.
+  /// Deep copy (shares nothing) — what specialisation trains, so training a
+  /// head never writes to the net it was derived from.
   std::unique_ptr<CoarseNet> clone() const;
+
+  /// A head on this net's representation (the layers freeze_representation()
+  /// freezes, held by shared ownership) that owns only its trainable tail,
+  /// read from `flat`, a full save_parameters() blob of this architecture;
+  /// nullptr unless the blob's representation, narrowed to fp32, is this
+  /// net's bit for bit. The head is for inference only: both nets see any
+  /// write to the shared layers.
+  std::unique_ptr<CoarseNet> head(const std::vector<double>& flat) const;
 
   /// Flat parameter (de)serialisation, ordered deterministically. Saving
   /// widens each fp32 parameter to double exactly; loading narrows with
@@ -120,11 +125,22 @@ class CoarseNet {
   void load_parameters(const std::vector<double>& flat);
 
  private:
-  CoarseNet(const CoarseNet&) = default;  // for clone()
+  CoarseNet(const CoarseNet&) = default;  // shares every layer
+
+  /// Hidden layers that belong to the representation: all but the last.
+  std::size_t representation_layers() const {
+    return fc_.size() >= 2 ? fc_.size() - 2 : 0;
+  }
+  /// Representation parameters in parameters() order.
+  std::vector<Parameter*> representation() const;
+  /// Narrow `flat` into parameters() in order, except that the first
+  /// `verify` parameters are compared bit for bit instead of written;
+  /// false on the first mismatch.
+  bool assign(const std::vector<double>& flat, std::size_t verify);
 
   CoarseNetConfig config_;
-  LandPooling pool_;
-  std::vector<Linear> fc_;     // hidden layers (ReLU after each) + output
+  std::shared_ptr<LandPooling> pool_;
+  std::vector<std::shared_ptr<Linear>> fc_;  // hidden (ReLU after each) + out
   std::size_t local_offset_ = 0;  // where local features sit in the concat
 };
 

@@ -315,17 +315,4 @@ void LandPooling::backward_input(const Matrix& grad_pooled, PoolContext& ctx,
   }
 }
 
-bool LandPooling::same_parameters(const LandPooling& other) const {
-  if (k_ != other.k_ || filters_ != other.filters_ || ops_ != other.ops_)
-    return false;
-  const Matrix& ka = kernel_.value;
-  const Matrix& kb = other.kernel_.value;
-  for (std::size_t r = 0; r < ka.rows(); ++r)
-    for (std::size_t c = 0; c < ka.cols(); ++c)
-      if (ka(r, c) != kb(r, c)) return false;
-  for (std::size_t c = 0; c < bias_.value.cols(); ++c)
-    if (bias_.value(0, c) != other.bias_.value(0, c)) return false;
-  return true;
-}
-
 }  // namespace diagnet::nn

@@ -75,13 +75,6 @@ class LandPooling {
   LandPooling(std::size_t k, std::size_t filters, std::vector<PoolOp> ops,
               util::Rng& rng);
 
-  /// True when `other` computes the identical pooling function: same k,
-  /// filter count, operator bank, and bit-identical kernel/bias values.
-  /// Specialized heads fine-tuned with --freeze-kernel keep this true
-  /// against their donor, which is what lets the serving router share one
-  /// LandPooling pass across services.
-  bool same_parameters(const LandPooling& other) const;
-
   /// land: (B, L·k) flattened landmark features, landmark-major (features of
   /// landmark λ occupy columns [λ·k, λ·k+k)). Unavailable landmarks may hold
   /// arbitrary values — they are skipped entirely via `mask`.

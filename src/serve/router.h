@@ -5,12 +5,13 @@
 // of per-service head bundles produced by `diagnet train --freeze-kernel
 // --service <id>`. The router merges them into ONE serving model — each
 // donor's specialized head is moved in via DiagNetModel::adopt_specialized,
-// which verifies the head was fine-tuned from the same frozen LandPooling
-// parameters — and publishes the merge through the ModelProvider in a
-// single generation bump. Because every merged head shares the frozen
-// pooling kernel bit-for-bit, the batched engine pools a mixed-service
-// micro-batch once and fans out only the per-service FC stacks
-// (core/batch_diagnoser.h).
+// which verifies the donor's general network carries a bit-identical frozen
+// representation (LandPooling and first hidden layer) and binds the head
+// to the serving model's own — and publishes the merge through the
+// ModelProvider in a single generation bump. Because every merged head
+// runs on the general's one LandPooling object, the batched engine pools
+// a mixed-service micro-batch once and fans out only the per-service FC
+// stacks (core/batch_diagnoser.h).
 //
 // Hot reload follows the same all-or-nothing rule: poll_and_reload()
 // watches every bundle file, and when any of them changes it rebuilds the

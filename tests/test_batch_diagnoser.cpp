@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -101,6 +103,48 @@ TEST(BatchDiagnoser, BitExactAcrossBatchSizesAndThreadCounts) {
       }
     }
   }
+
+  // Occlusion rides the same union chunks, walking each head's rows one by
+  // one. It costs m forwards per row, so a few rows: two per service, over
+  // at least two serving networks.
+  std::vector<core::DiagnoseRequest> mixed;
+  std::map<std::size_t, std::size_t> per_service;
+  std::set<const nn::CoarseNet*> nets;
+  for (const std::size_t idx : indices) {
+    const std::size_t service = p.split().test.samples[idx].service;
+    if (per_service[service]++ >= 2) continue;
+    mixed.push_back(request_for(idx));
+    nets.insert(&p.diagnet().service_net(service));
+  }
+  ASSERT_GE(nets.size(), 2u);
+  struct RestoreGradient {
+    core::DiagNetModel& model;
+    ~RestoreGradient() {
+      model.set_attention_method(core::AttentionMethod::Gradient);
+    }
+  } restore{p.diagnet()};
+  p.diagnet().set_attention_method(core::AttentionMethod::Occlusion);
+  std::vector<core::Diagnosis> occlusion;
+  for (const core::DiagnoseRequest& request : mixed)
+    occlusion.push_back(p.diagnet().diagnose(request).diagnosis);
+  for (std::size_t threads : {1u, 4u}) {
+    util::ThreadPool pool(threads);
+    for (std::size_t batch_size : {1u, 3u, 64u}) {
+      SCOPED_TRACE("occlusion threads=" + std::to_string(threads) +
+                   " batch_size=" + std::to_string(batch_size));
+      core::BatchDiagnoserConfig config;
+      config.batch_size = batch_size;
+      config.pool = &pool;
+      const std::vector<core::DiagnoseResponse> got =
+          core::BatchDiagnoser(p.diagnet(), config).run(mixed);
+      ASSERT_EQ(got.size(), mixed.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("sample " + std::to_string(i));
+        ASSERT_TRUE(got[i].ok()) << got[i].status.message();
+        expect_bit_identical(got[i].diagnosis, occlusion[i]);
+      }
+    }
+  }
 }
 
 TEST(BatchDiagnoser, GeneralModelPathMatchesSequential) {
@@ -111,10 +155,9 @@ TEST(BatchDiagnoser, GeneralModelPathMatchesSequential) {
   std::vector<core::DiagnoseRequest> requests;
   requests.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    requests.push_back(request_for(indices[i]));
+    requests.push_back(request_for(indices[i], /*use_general=*/true));
   core::BatchDiagnoserConfig config;
   config.batch_size = 8;
-  config.use_general = true;
   const core::BatchDiagnoser batcher(p.diagnet(), config);
   const auto got = batcher.run(requests);
   ASSERT_EQ(got.size(), n);

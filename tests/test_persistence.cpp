@@ -147,14 +147,18 @@ std::size_t heap_in_use() {
 
 TEST(ModelRegistry, LoadedBundleHoldsWeightsAndForestOnly) {
   // A loaded bundle is a served model: it should cost its fp32 weights and
-  // its forest, not a gradient buffer per parameter or a second copy of
-  // the payload. The forest's share is measured the same way, by loading
-  // it alone.
+  // its forest, not a gradient buffer per parameter, a second copy of the
+  // payload, or a copy of the general's frozen representation per head —
+  // the representation counts once, each head only its trainable tail. The
+  // forest's share is measured the same way, by loading it alone.
   auto& p = pipeline();
   core::DiagNetModel& model = p.diagnet();
-  std::size_t parameters = model.general_net().parameter_count();
-  for (const std::size_t service : model.specialized_services())
-    parameters += model.service_net(service).parameter_count();
+  const auto frozen = model.general_net().clone();
+  frozen->freeze_representation();
+  const std::size_t parameters =
+      model.general_net().parameter_count() +
+      model.specialized_services().size() *
+          frozen->trainable_parameter_count();
   const std::size_t parameter_bytes = parameters * sizeof(float);
 
   std::stringstream forest_stream;
@@ -270,6 +274,18 @@ void write_payload(
   writer.write_indices(model.unknown_features());
 }
 
+/// try_load_model over `payload`, framed with the registry header and a
+/// valid payload checksum.
+util::Status load_framed(const std::string& payload) {
+  std::stringstream file;
+  util::BinaryWriter writer(file);
+  writer.write_u64(0x44474e4554'4d4f44ULL);  // "DGNET MOD"
+  writer.write_u64(2);
+  writer.write_u64(util::fnv1a64(payload.data(), payload.size()));
+  writer.write_string(payload);
+  return core::try_load_model(file, pipeline().feature_space()).status();
+}
+
 TEST(BundleCompat, Fp64ParameterBundleLoadsAndServes) {
   auto& p = pipeline();
   // The current writer's payload, byte for byte, pins the layout above.
@@ -301,6 +317,80 @@ TEST(BundleCompat, Fp64ParameterBundleLoadsAndServes) {
        p.split().test.landmark_available});
   ASSERT_TRUE(response.ok()) << response.status.message();
   EXPECT_EQ(response.diagnosis.scores.size(), p.feature_space().total());
+}
+
+// ---------------------------------------------------------------------------
+// Specialized heads run on the general's one frozen representation.
+
+TEST(SpecializedHeads, ShareTheGeneralsPoolingObject) {
+  auto& p = pipeline();
+  core::DiagNetModel& model = p.diagnet();
+  ASSERT_FALSE(model.specialized_services().empty());
+  for (const std::size_t service : model.specialized_services())
+    EXPECT_EQ(&model.service_net(service).pooling(),
+              &model.general_net().pooling())
+        << "freshly specialised head " << service;
+
+  std::stringstream bundle;
+  ASSERT_TRUE(core::try_save_model(model, bundle).ok());
+  auto loaded = core::try_load_model(bundle, p.feature_space());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_EQ((*loaded)->specialized_services(), model.specialized_services());
+  for (const std::size_t service : (*loaded)->specialized_services())
+    EXPECT_EQ(&(*loaded)->service_net(service).pooling(),
+              &(*loaded)->general_net().pooling())
+        << "loaded head " << service;
+}
+
+TEST(SpecializedHeads, LoadRefusesAHeadWhoseFirstHiddenLayerDiffers) {
+  // Perturb one weight inside the first head's FC1 block: its pooling still
+  // matches the general's, its first hidden layer does not.
+  auto& p = pipeline();
+  core::DiagNetModel& model = p.diagnet();
+  ASSERT_FALSE(model.specialized_services().empty());
+  const auto params = model.general_net().parameters();
+  const std::size_t fc1 = params[0]->value.size() + params[1]->value.size();
+  const std::size_t target = model.general_net().parameter_count() + fc1 + 3;
+  std::size_t index = 0;
+  std::stringstream payload;
+  util::BinaryWriter writer(payload);
+  write_payload(
+      model, [&](double v) { return index++ == target ? v + 1.0 : v; },
+      writer);
+  ASSERT_GT(index, target);
+
+  const util::Status status = load_framed(payload.str());
+  EXPECT_EQ(status.code(), util::StatusCode::kDataLoss) << status.message();
+  EXPECT_NE(status.message().find("frozen representation"), std::string::npos)
+      << status.message();
+}
+
+TEST(SpecializedHeads, AdoptRefusesADonorWhoseFirstHiddenLayerDiffers) {
+  auto& p = pipeline();
+  const std::size_t service = p.diagnet().specialized_services().front();
+  std::stringstream bundle;
+  ASSERT_TRUE(core::try_save_model(p.diagnet(), bundle).ok());
+  const std::string bytes = bundle.str();
+  const auto load = [&] {
+    std::istringstream is(bytes);
+    auto model = core::try_load_model(is, p.feature_space());
+    EXPECT_TRUE(model.ok()) << model.status().message();
+    return std::move(model).value();
+  };
+
+  auto base = load();
+  auto donor = load();
+  ASSERT_TRUE(base->adopt_specialized(service, *donor).ok());
+  EXPECT_EQ(&base->service_net(service).pooling(),
+            &base->general_net().pooling());
+
+  // Same pooling kernel, another FC1: refused, and the donor keeps its head.
+  auto altered = load();
+  altered->service_net(service).parameters()[2]->value(0, 0) += 1.0f;
+  const util::Status status = base->adopt_specialized(service, *altered);
+  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition)
+      << status.message();
+  EXPECT_TRUE(altered->has_specialized(service));
 }
 
 // ---------------------------------------------------------------------------
@@ -360,14 +450,7 @@ util::Status load_with_forest(const ForgedForest& forest) {
   write_payload(
       p.diagnet(), [](double v) { return v; }, payload_writer,
       [&](util::BinaryWriter& writer) { forest.write(writer); });
-  const std::string bytes = payload.str();
-  std::stringstream file;
-  util::BinaryWriter writer(file);
-  writer.write_u64(0x44474e4554'4d4f44ULL);  // "DGNET MOD"
-  writer.write_u64(2);
-  writer.write_u64(util::fnv1a64(bytes.data(), bytes.size()));
-  writer.write_string(bytes);
-  return core::try_load_model(file, p.feature_space()).status();
+  return load_framed(payload.str());
 }
 
 void expect_refused(const ForgedForest& forest, const std::string& what) {

@@ -1108,6 +1108,35 @@ TEST(ModelRouter, ReloadIsAllOrNothingAcrossBundles) {
   expect_bit_identical(after_b.diagnosis, before_b.diagnosis);
 }
 
+TEST(ModelRouter, RefusesAHeadFineTunedFromAnotherGeneral) {
+  // A general trained with another seed has another frozen representation,
+  // so a head fine-tuned on it cannot run on the default bundle's.
+  auto& p = pipeline();
+  const std::string dir = testing::TempDir();
+  const std::string general_path = dir + "/router_seed_general.bin";
+  ASSERT_TRUE(core::try_save_model_file(p.diagnet(), general_path).ok());
+
+  core::DiagNetConfig config = p.diagnet().config();
+  config.seed ^= 0x5eedULL;
+  config.trainer.max_epochs = 1;
+  config.specialization.max_epochs = 1;
+  config.auxiliary.n_estimators = 2;
+  core::DiagNetModel other(p.feature_space(), config);
+  other.train_general(p.split().train);
+  const std::size_t service = p.split().train.samples.front().service;
+  other.specialize(service, p.split().train);
+  const std::string head_path = dir + "/router_seed_head.bin";
+  ASSERT_TRUE(core::try_save_model_file(other, head_path).ok());
+
+  serve::ModelRouter::Config router;
+  router.default_path = general_path;
+  router.services = {{service, head_path}};
+  const auto created = serve::ModelRouter::create(router, p.feature_space());
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), util::StatusCode::kFailedPrecondition)
+      << created.status().to_string();
+}
+
 TEST(ModelRouter, CreateFailsClosedOnBadBundle) {
   auto& p = pipeline();
   const std::string dir = testing::TempDir();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <cstring>
 
 #include "nn/sgd.h"
 #include "nn/trainer.h"
@@ -260,7 +261,9 @@ TEST(Trainer, RestoreBestRestoresBestValidationLoss) {
 TEST(Trainer, FrozenLayersStayIdenticalDuringSpecialisation) {
   const CoarseDataset data = synthetic_dataset(200, 61);
   util::Rng rng(62);
-  CoarseNet net(synthetic_net_config(), rng);
+  CoarseNetConfig shape = synthetic_net_config();
+  shape.hidden = {16, 8};  // a first hidden layer that freezing covers
+  CoarseNet net(shape, rng);
   TrainerConfig config;
   config.max_epochs = 4;
   config.seed = 63;
@@ -270,12 +273,22 @@ TEST(Trainer, FrozenLayersStayIdenticalDuringSpecialisation) {
   clone->freeze_representation();
   train_coarse(*clone, data, config);
 
+  // Every frozen parameter — pooling kernel and bias, FC1 weight and bias
+  // — keeps its exact bits: a stored head is bound to the general's
+  // representation objects on that guarantee. The output layer changes.
   const auto before = net.parameters();
   const auto after = clone->parameters();
-  // Kernel (index 0) unchanged, final layer (last index) changed.
-  for (std::size_t r = 0; r < before[0]->value.rows(); ++r)
-    for (std::size_t c = 0; c < before[0]->value.cols(); ++c)
-      EXPECT_DOUBLE_EQ(before[0]->value(r, c), after[0]->value(r, c));
+  std::size_t frozen = 0;
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    if (!after[i]->frozen) continue;
+    ++frozen;
+    const Matrix& a = before[i]->value;
+    const Matrix& b = after[i]->value;
+    ASSERT_TRUE(a.same_shape(b));
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << "frozen parameter " << i;
+  }
+  EXPECT_EQ(frozen, 4u);
   double diff = 0.0;
   const Parameter* last_before = before.back();
   const Parameter* last_after = after.back();
