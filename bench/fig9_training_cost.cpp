@@ -29,10 +29,7 @@ int main() {
   auto& net = pipeline.diagnet().general_net();
   std::cout << "Parameter counts: total " << net.parameter_count()
             << " [paper: 215,312]";
-  auto frozen_probe = net.clone();
-  frozen_probe->freeze_representation();
-  std::cout << ", trainable after freezing "
-            << frozen_probe->trainable_parameter_count()
+  std::cout << ", trainable after freezing " << net.head()->parameter_count()
             << " [paper: 65,664]\n\n";
 
   // (a) the general model's loss curve.

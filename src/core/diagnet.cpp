@@ -94,18 +94,14 @@ nn::TrainingHistory DiagNetModel::specialize(std::size_t service,
   DIAGNET_REQUIRE_MSG(subset.samples.size() > 10,
                       "too few samples to specialise this service");
 
-  auto net = general_->clone();
-  net->freeze_representation();
+  // The head shares the general's representation and trains only its own
+  // tail, so the general model cannot change while it trains.
+  auto head = general_->head();
   const nn::CoarseDataset coarse =
       data::encode_coarse(subset, *fs_, normalizer_);
   nn::TrainerConfig trainer = config_.specialization;
   trainer.seed = config_.seed ^ (0x5e77ULL + service);
-  nn::TrainingHistory history = train_coarse(*net, coarse, trainer);
-
-  // Training leaves frozen parameters untouched, so the trained head's
-  // representation is the general's bit for bit: keep only its tail.
-  auto head = general_->head(net->save_parameters());
-  DIAGNET_REQUIRE_MSG(head, "specialisation changed a frozen parameter");
+  nn::TrainingHistory history = train_coarse(*head, coarse, trainer);
   specialized_[service] = std::move(head);
   return history;
 }

@@ -5,11 +5,11 @@
 //                      services' samples, train the auxiliary extensible
 //                      Random Forest (§III-F), record which landmarks /
 //                      features were available ("known").
-//   specialize()     — derive a per-service model: clone the general
-//                      network, freeze the representation (convolution +
-//                      first hidden layer), retrain the final
-//                      fully-connected layers on that service's samples
-//                      (§III-D, §IV-F); the stored head keeps only those.
+//   specialize()     — derive a per-service model: a head on the general
+//                      network's frozen representation (convolution +
+//                      first hidden layer) whose final fully-connected
+//                      layers are retrained on that service's samples
+//                      (§III-D, §IV-F); the head owns only those.
 //   diagnose()       — rank all m root causes for one degraded sample:
 //                      coarse prediction -> gradient attention (§III-E) ->
 //                      Algorithm 1 score weighting -> ensemble averaging
@@ -193,6 +193,11 @@ class DiagNetModel {
   void set_ensemble(bool enabled) { config_.use_ensemble = enabled; }
   void set_attention_method(AttentionMethod method) {
     config_.attention = method;
+  }
+  /// Trainer settings for later specialize() calls; a loaded model starts
+  /// from DiagNetConfig::defaults().
+  void set_specialization(const nn::TrainerConfig& trainer) {
+    config_.specialization = trainer;
   }
 
  private:

@@ -91,23 +91,22 @@ const Matrix& CoarseNet::forward_fc(const Matrix& pooled, const Matrix& local,
 
 void CoarseNet::backward(const Matrix& grad_logits,
                          CoarseWorkspace& ws) const {
-  // ws.param_grads order matches parameters(): pooling kernel and bias
-  // first, then (weight, bias) per fully-connected layer.
-  const auto fc_grad = [&](std::size_t layer) -> std::pair<Matrix&, Matrix&> {
-    return {ws.param_grads[2 + 2 * layer], ws.param_grads[3 + 2 * layer]};
-  };
-
-  const std::size_t last = fc_.size() - 1;
-  const Matrix& last_in = last == 0 ? ws.concat : ws.act.back();
-  auto [lw, lb] = fc_grad(last);
-  fc_[last]->backward_into(last_in, grad_logits, lw, lb, &ws.grad_a);
-
-  for (std::size_t i = last; i-- > 0;) {
-    relu_gate_inplace(ws.act[i], ws.grad_a);
+  // ws.param_grads order matches parameters(): the pooling kernel and bias
+  // when this net owns them, then (weight, bias) per owned layer.
+  const std::size_t first = first_owned();
+  const std::size_t base = head_ ? 0 : 2;
+  const Matrix* grad = &grad_logits;
+  for (std::size_t i = fc_.size(); i-- > first;) {
     const Matrix& in = i == 0 ? ws.concat : ws.act[i - 1];
-    auto [w, b] = fc_grad(i);
-    fc_[i]->backward_into(in, ws.grad_a, w, b, &ws.grad_b);
+    // The input gradient only feeds owned layers below this one.
+    const bool below = i > first || !head_;
+    const std::size_t g = base + 2 * (i - first);
+    fc_[i]->backward_into(in, *grad, ws.param_grads[g], ws.param_grads[g + 1],
+                          below ? &ws.grad_b : nullptr);
+    if (!below) return;
     std::swap(ws.grad_a, ws.grad_b);
+    if (i > 0) relu_gate_inplace(ws.act[i - 1], ws.grad_a);
+    grad = &ws.grad_a;
   }
 
   // Split the concat gradient: only the pooled part is needed — the local
@@ -145,17 +144,17 @@ void CoarseNet::backward_inputs(const Matrix& grad_logits,
 }
 
 std::vector<Parameter*> CoarseNet::parameters() {
-  std::vector<Parameter*> params = pool_->parameters();
-  for (auto& layer : fc_) {
-    for (Parameter* p : layer->parameters()) params.push_back(p);
-  }
+  std::vector<Parameter*> params;
+  if (!head_) params = pool_->parameters();
+  for (std::size_t i = first_owned(); i < fc_.size(); ++i)
+    for (Parameter* p : fc_[i]->parameters()) params.push_back(p);
   return params;
 }
 
-std::vector<Parameter*> CoarseNet::representation() const {
+std::vector<Parameter*> CoarseNet::all_parameters() const {
   std::vector<Parameter*> params = pool_->parameters();
-  for (std::size_t i = 0; i < representation_layers(); ++i)
-    for (Parameter* p : fc_[i]->parameters()) params.push_back(p);
+  for (const auto& layer : fc_)
+    for (Parameter* p : layer->parameters()) params.push_back(p);
   return params;
 }
 
@@ -166,38 +165,24 @@ std::size_t CoarseNet::parameter_count() const {
   return n;
 }
 
-std::size_t CoarseNet::trainable_parameter_count() const {
-  std::size_t n = 0;
-  for (Parameter* p : const_cast<CoarseNet*>(this)->parameters())
-    if (!p->frozen) n += p->value.size();
-  return n;
-}
-
-void CoarseNet::freeze_representation(bool frozen) {
-  // The "final fully-connected layers" (last hidden + output) stay
-  // trainable.
-  for (Parameter* p : representation()) p->frozen = frozen;
-}
-
-std::unique_ptr<CoarseNet> CoarseNet::clone() const {
-  auto net = std::unique_ptr<CoarseNet>(new CoarseNet(*this));
-  net->pool_ = std::make_shared<LandPooling>(*pool_);
-  for (auto& layer : net->fc_) layer = std::make_shared<Linear>(*layer);
+std::unique_ptr<CoarseNet> CoarseNet::head() const {
+  auto net = std::unique_ptr<CoarseNet>(new CoarseNet(*this));  // shares all
+  net->head_ = true;
+  for (std::size_t i = net->first_owned(); i < fc_.size(); ++i)
+    net->fc_[i] = std::make_shared<Linear>(*fc_[i]);
   return net;
 }
 
 std::unique_ptr<CoarseNet> CoarseNet::head(
     const std::vector<double>& flat) const {
-  auto net = std::unique_ptr<CoarseNet>(new CoarseNet(*this));  // shares all
-  for (std::size_t i = representation_layers(); i < fc_.size(); ++i)
-    net->fc_[i] = std::make_shared<Linear>(*fc_[i]);
-  if (!net->assign(flat, representation().size())) return nullptr;
+  auto net = head();
+  if (!net->assign(flat)) return nullptr;
   return net;
 }
 
 std::vector<double> CoarseNet::save_parameters() const {
   std::vector<double> flat;
-  for (Parameter* p : const_cast<CoarseNet*>(this)->parameters()) {
+  for (Parameter* p : all_parameters()) {
     const float* d = p->value.data();
     flat.insert(flat.end(), d, d + p->value.size());  // widening is exact
   }
@@ -205,11 +190,14 @@ std::vector<double> CoarseNet::save_parameters() const {
 }
 
 void CoarseNet::load_parameters(const std::vector<double>& flat) {
-  assign(flat, 0);
+  DIAGNET_REQUIRE_MSG(assign(flat),
+                      "blob's representation differs from the shared one");
 }
 
-bool CoarseNet::assign(const std::vector<double>& flat, std::size_t verify) {
-  const std::vector<Parameter*> params = parameters();
+bool CoarseNet::assign(const std::vector<double>& flat) {
+  const std::vector<Parameter*> params = all_parameters();
+  // The shared parameters, if any, lead the list.
+  const std::size_t verify = params.size() - parameters().size();
   std::size_t off = 0;
   for (std::size_t k = 0; k < params.size(); ++k) {
     Matrix& value = params[k]->value;

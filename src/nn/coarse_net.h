@@ -32,8 +32,9 @@ struct CoarseNetConfig {
 };
 
 /// Per-thread forward/backward state: activations, gradient scratch, and
-/// (training only, see CoarseNet::init_workspace) a full set of
-/// parameter-gradient accumulators in CoarseNet::parameters() order. One
+/// (training only, see CoarseNet::init_workspace) one parameter-gradient
+/// accumulator per parameter the net trains, in CoarseNet::parameters()
+/// order — every layer for a general net, only the tail for a head. One
 /// workspace per thread lets any number of training shards or diagnosis
 /// chunks run concurrently against one shared const network; every buffer
 /// is reused with capacity-aware resizes, so steady-state steps allocate
@@ -48,7 +49,7 @@ struct CoarseWorkspace {
   Matrix grad_a, grad_b;     // ping-pong input-gradient buffers
   Matrix grad_pooled;        // concat gradient split, pooled part
   Matrix grad_local;         // concat gradient split, local part
-  std::vector<Matrix> param_grads;  // ordered like parameters()
+  std::vector<Matrix> param_grads;  // ordered like parameters(): owned only
 
   /// Zero the parameter-gradient accumulators (start of every step).
   void zero_param_grads() {
@@ -82,7 +83,9 @@ class CoarseNet {
   /// Parameter gradients only: accumulates into ws.param_grads
   /// (zero_param_grads() first). Input gradients are not produced — the
   /// training loop discards them, and skipping the LandPooling dx pass
-  /// saves a full K^T·dF sweep per step.
+  /// saves a full K^T·dF sweep per step. The pass stops at the first layer
+  /// the net owns: a head computes its tail's gradients and nothing below
+  /// them. Each gradient is bit-identical to the general's full pass.
   void backward(const Matrix& grad_logits, CoarseWorkspace& ws) const;
 
   /// Input gradients only, after forward() or forward_fc() on `ws`: the FC
@@ -93,55 +96,58 @@ class CoarseNet {
   void backward_inputs(const Matrix& grad_logits, CoarseWorkspace& ws,
                        Matrix* grad_land = nullptr) const;
 
+  /// The parameters this net owns — what a trainer updates — in a fixed
+  /// order: the pooling kernel and bias, then (weight, bias) per layer, for
+  /// a general net; only the tail (the last hidden layer and the output
+  /// layer) for a head.
   std::vector<Parameter*> parameters();
   std::size_t parameter_count() const;
-  std::size_t trainable_parameter_count() const;
-
-  /// Freeze the representation layers (LandPooling kernel + first hidden
-  /// layer); only the final fully-connected layers stay trainable. This is
-  /// the service-specialisation split of paper §IV-F.
-  void freeze_representation(bool frozen = true);
 
   const CoarseNetConfig& config() const { return config_; }
   LandPooling& pooling() { return *pool_; }
   const LandPooling& pooling() const { return *pool_; }
 
-  /// Deep copy (shares nothing) — what specialisation trains, so training a
-  /// head never writes to the net it was derived from.
-  std::unique_ptr<CoarseNet> clone() const;
+  /// A head on this net's representation: it shares the LandPooling and
+  /// every hidden layer but the last (paper §IV-F freezes the convolution
+  /// and the first hidden layer) and owns a copy of the tail, which is all
+  /// that parameters() hands a trainer. The representation is frozen by
+  /// construction: training a head never writes to it, and the net it came
+  /// from sees no change while the head trains.
+  std::unique_ptr<CoarseNet> head() const;
 
-  /// A head on this net's representation (the layers freeze_representation()
-  /// freezes, held by shared ownership) that owns only its trainable tail,
-  /// read from `flat`, a full save_parameters() blob of this architecture;
-  /// nullptr unless the blob's representation, narrowed to fp32, is this
-  /// net's bit for bit. The head is for inference only: both nets see any
-  /// write to the shared layers.
+  /// head() with its tail read from `flat`, a full save_parameters() blob
+  /// of this architecture; nullptr unless the blob's representation,
+  /// narrowed to fp32, is this net's bit for bit.
   std::unique_ptr<CoarseNet> head(const std::vector<double>& flat) const;
 
-  /// Flat parameter (de)serialisation, ordered deterministically. Saving
-  /// widens each fp32 parameter to double exactly; loading narrows with
-  /// round-to-nearest, so blobs written from fp64 parameters still load.
+  /// Flat parameter (de)serialisation over every layer, the shared ones
+  /// included, ordered deterministically. Saving widens each fp32
+  /// parameter to double exactly; loading narrows with round-to-nearest, so
+  /// blobs written from fp64 parameters still load. A head loads only its
+  /// tail and requires the blob's representation to equal the shared one.
   std::vector<double> save_parameters() const;
   void load_parameters(const std::vector<double>& flat);
 
  private:
   CoarseNet(const CoarseNet&) = default;  // shares every layer
 
-  /// Hidden layers that belong to the representation: all but the last.
-  std::size_t representation_layers() const {
-    return fc_.size() >= 2 ? fc_.size() - 2 : 0;
+  /// The first layer in fc_ this net owns: a head shares every hidden
+  /// layer but the last (the representation).
+  std::size_t first_owned() const {
+    return head_ && fc_.size() >= 2 ? fc_.size() - 2 : 0;
   }
-  /// Representation parameters in parameters() order.
-  std::vector<Parameter*> representation() const;
-  /// Narrow `flat` into parameters() in order, except that the first
-  /// `verify` parameters are compared bit for bit instead of written;
+  /// Every parameter, shared or owned, in save_parameters() order.
+  std::vector<Parameter*> all_parameters() const;
+  /// Narrow `flat` into all_parameters() in order, except that a head
+  /// compares the shared parameters bit for bit instead of writing them;
   /// false on the first mismatch.
-  bool assign(const std::vector<double>& flat, std::size_t verify);
+  bool assign(const std::vector<double>& flat);
 
   CoarseNetConfig config_;
   std::shared_ptr<LandPooling> pool_;
   std::vector<std::shared_ptr<Linear>> fc_;  // hidden (ReLU after each) + out
   std::size_t local_offset_ = 0;  // where local features sit in the concat
+  bool head_ = false;  // shares pool_ and fc_[0, first_owned())
 };
 
 }  // namespace diagnet::nn

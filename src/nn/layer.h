@@ -10,8 +10,8 @@
 //
 // A network holds weights only. Parameter gradients go to the caller's
 // CoarseWorkspace::param_grads, and the trainer owns the reduced gradient
-// and the optimizer state, so a served or cloned net costs its weight
-// bytes and nothing more.
+// and the optimizer state, so a served net costs its weight bytes and
+// nothing more.
 #pragma once
 
 #include "tensor/matrix.h"
@@ -20,12 +20,10 @@ namespace diagnet::nn {
 
 using tensor::Matrix;
 
-/// A trainable tensor and its freeze flag, used by service specialisation
-/// (paper §IV-F freezes the convolution and first hidden layer when
-/// deriving per-service models).
+/// A trainable tensor. What a trainer may update is the net's choice
+/// (CoarseNet::parameters()), not a property of the tensor.
 struct Parameter {
   Matrix value;
-  bool frozen = false;
 
   explicit Parameter(Matrix v) : value(std::move(v)) {}
 };

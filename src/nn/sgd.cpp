@@ -23,10 +23,6 @@ void SgdOptimizer::step(std::vector<Matrix>& grads) {
     Parameter* p = params_[idx];
     Matrix& grad = grads[idx];
     DIAGNET_REQUIRE(grad.same_shape(p->value));
-    if (p->frozen) {
-      grad.fill(0.0f);
-      continue;
-    }
     Matrix& v = velocity_[idx];
     float* vd = v.data();
     float* wdta = p->value.data();

@@ -22,8 +22,7 @@ class SgdOptimizer {
   SgdOptimizer(std::vector<Parameter*> params, const SgdConfig& config);
 
   /// Apply one update from `grads` — one buffer per bound parameter, same
-  /// order and shapes, owned by the caller (the trainer) — then zero them
-  /// all. Frozen parameters keep their value and their velocity.
+  /// order and shapes, owned by the caller (the trainer) — then zero them.
   void step(std::vector<Matrix>& grads);
 
   const SgdConfig& config() const { return config_; }

@@ -251,7 +251,9 @@ TrainingHistory train_coarse(CoarseNet& net, const CoarseDataset& data,
   DIAGNET_REQUIRE_MSG(!train_rows.empty(), "empty training split");
 
   // The network holds weights only: the reduced minibatch gradient, one
-  // zeroed buffer per parameter, lives here for the length of the fit.
+  // zeroed buffer per parameter, lives here for the length of the fit. A
+  // head hands over only its tail, so every buffer below (shard
+  // accumulators, reduce, clip, velocity, best snapshot) covers only that.
   const std::vector<Parameter*> params = net.parameters();
   SgdOptimizer optimizer(params, config.sgd);
   std::vector<Matrix> grads;
@@ -264,7 +266,7 @@ TrainingHistory train_coarse(CoarseNet& net, const CoarseDataset& data,
 
   TrainingHistory history;
   EarlyStopper stopper(config.min_delta, config.patience);
-  std::vector<double> best_params;
+  std::vector<Matrix> best_params;  // parameter values of the best epoch
 
   bool early_stopped = false;
   for (std::size_t epoch = 0; epoch < config.max_epochs; ++epoch) {
@@ -300,7 +302,11 @@ TrainingHistory train_coarse(CoarseNet& net, const CoarseDataset& data,
     const bool stop = stopper.update(val_loss);
     if (stopper.improved()) {
       history.best_epoch = epoch;
-      if (config.restore_best) best_params = net.save_parameters();
+      if (config.restore_best) {
+        best_params.resize(params.size());
+        for (std::size_t k = 0; k < params.size(); ++k)
+          best_params[k].assign(params[k]->value);
+      }
     }
     if (stop) {
       early_stopped = true;
@@ -310,7 +316,8 @@ TrainingHistory train_coarse(CoarseNet& net, const CoarseDataset& data,
 
   if (early_stopped) DIAGNET_COUNT("trainer.early_stops");
   if (config.restore_best && !best_params.empty())
-    net.load_parameters(best_params);
+    for (std::size_t k = 0; k < params.size(); ++k)
+      params[k]->value.assign(best_params[k]);
 
   history.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -46,16 +46,17 @@ struct TrainerConfig {
   double min_delta = 0.0;
   /// Fraction of the training set held out for validation.
   double validation_fraction = 0.1;
-  /// Global-norm gradient clipping: when the L2 norm of the whole
-  /// minibatch gradient exceeds this, every gradient is scaled down to it
-  /// before the optimizer step (0 disables). Balanced campaigns never get
-  /// near the default — their step norms stay under ~25 — so this leaves
-  /// healthy trajectories untouched. It exists for heavily imbalanced
-  /// campaigns (client-mode streaming runs are >99% nominal), where
-  /// momentum-aligned one-class gradients can otherwise drive the logits
-  /// into a self-reinforcing exponential blow-up: gradient magnitude
-  /// scales with the weights, so one oversized kick compounds to inf/NaN
-  /// within a few hundred steps. Clipping is applied after the
+  /// Global-norm gradient clipping: when the L2 norm of the minibatch
+  /// gradient exceeds this, every gradient is scaled down to it before the
+  /// optimizer step (0 disables). The norm covers only the parameters the
+  /// step updates: net.parameters(), a head's tail when specialising.
+  /// Balanced campaigns never get near the default — their step norms stay
+  /// under ~25 — so this leaves healthy trajectories untouched. It exists
+  /// for heavily imbalanced campaigns (client-mode streaming runs are >99%
+  /// nominal), where momentum-aligned one-class gradients can otherwise
+  /// drive the logits into a self-reinforcing exponential blow-up: gradient
+  /// magnitude scales with the weights, so one oversized kick compounds to
+  /// inf/NaN within a few hundred steps. Clipping is applied after the
   /// deterministic ascending-shard reduce, in fixed parameter order, so
   /// the trajectory stays bit-identical for every thread count.
   double clip_norm = 100.0;
@@ -125,8 +126,9 @@ struct TrainingHistory {
   std::size_t epochs_run() const { return epochs.size(); }
 };
 
-/// Train `net` on `data`. Shuffling, the train/validation split, and batch
-/// order derive from config.seed only.
+/// Train `net`'s parameters() on `data` — every layer of a general net,
+/// only the tail of a head. Shuffling, the train/validation split, and
+/// batch order derive from config.seed only.
 TrainingHistory train_coarse(CoarseNet& net, const CoarseDataset& data,
                              const TrainerConfig& config);
 

@@ -59,11 +59,6 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
   });
 }
 
-void gemv(const Matrix& a, const Matrix& b, Matrix& c) {
-  DIAGNET_REQUIRE(a.rows() == 1 && a.cols() == b.rows());
-  gemm(a, b, c);
-}
-
 namespace {
 
 void gemm_at_b_impl(const Matrix& a, const Matrix& b, Matrix& c) {

@@ -19,13 +19,10 @@
 
 namespace diagnet::tensor {
 
-/// C = A (M x K) · B (K x N). C is resized/overwritten.
+/// C = A (M x K) · B (K x N). C is resized/overwritten. A single row
+/// (M == 1) runs the tier's gemv kernel — serial, no pool dispatch — with
+/// the bits the row-block kernel would give it.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c);
-
-/// C = a (1 x K) · B (K x N): the single-sample fast path. Serial, no
-/// packing or pool dispatch, but the exact fused-group reduction order of
-/// gemm() — a row's bits never depend on which entry point computed it.
-void gemv(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C = A^T (K x M -> M x K view) · B. A is (K x M) in memory.
 void gemm_at_b(const Matrix& a, const Matrix& b, Matrix& c);

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -179,6 +180,54 @@ TEST(Cli, TrainRefusesNonFiniteFeatureValues) {
     std::remove(campaign.c_str());
     std::remove(model.c_str());
   }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(Cli, FreezeKernelFineTuneHonoursEpochsAndThreads) {
+  // --epochs caps a --freeze-kernel fine-tune as it caps a full train, and
+  // --threads leaves its bits alone.
+  const char* dir = std::getenv("TMPDIR");
+  const std::string base =
+      (dir && *dir ? std::string(dir) : std::string("/tmp")) + "/diagnet_cli_ft";
+  const std::string campaign = base + ".csv";
+  const std::string general = base + "_general.bin";
+  ASSERT_EQ(run_cli("simulate --samples 900 --seed 7 --out " + campaign)
+                .exit_code,
+            0);
+  const CliResult trained = run_cli("train --campaign " + campaign +
+                                    " --out " + general + " --epochs 1");
+  ASSERT_EQ(trained.exit_code, 0) << trained.output;
+
+  const auto fine_tune = [&](const std::string& out,
+                             const std::string& budget) {
+    const CliResult r =
+        run_cli("train --campaign " + campaign + " --out " + out +
+                " --freeze-kernel --service 0 --from " + general + budget);
+    EXPECT_EQ(r.exit_code, 0) << r.output;
+    return r.output;
+  };
+  const std::string uncapped = base + "_head.bin";
+  const std::string one = base + "_head_t1.bin";
+  const std::string two = base + "_head_t2.bin";
+  fine_tune(uncapped, "");
+  const std::string log = fine_tune(one, " --epochs 1 --threads 1");
+  EXPECT_NE(log.find("at most 1 epochs, threads 1"), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("specialised: 1 epoch(s) run"), std::string::npos)
+      << log;
+  fine_tune(two, " --epochs 1 --threads 2");
+
+  const std::string head_one = read_file(one);
+  ASSERT_FALSE(head_one.empty());
+  // Uncapped, this head's best epoch is its second, so one epoch differs.
+  EXPECT_NE(head_one, read_file(uncapped));
+  EXPECT_EQ(head_one, read_file(two)) << "thread count changed the head";
+  for (const std::string& path : {campaign, general, uncapped, one, two})
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 // Tests for the assembled coarse network: shapes, end-to-end gradient
 // check (through LandPooling, concat, MLP and softmax loss, down to both
-// input groups), freezing semantics, cloning and (de)serialisation.
+// input groups), heads on a frozen representation and (de)serialisation.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "nn/coarse_net.h"
@@ -68,7 +69,7 @@ TEST(CoarseNet, ParameterCountFormula) {
       + 8 * 6 + 6                                                     // fc2
       + 6 * 4 + 4;                                                    // out
   EXPECT_EQ(net.parameter_count(), expected);
-  EXPECT_EQ(net.trainable_parameter_count(), expected);
+  EXPECT_EQ(net.head()->parameter_count(), 8u * 6u + 6u + 6u * 4u + 4u);
 }
 
 TEST(CoarseNet, PaperParameterScaleWithTableIConfig) {
@@ -80,9 +81,9 @@ TEST(CoarseNet, PaperParameterScaleWithTableIConfig) {
   EXPECT_GT(net.parameter_count(), 190000u);
   EXPECT_LT(net.parameter_count(), 240000u);
 
-  net.freeze_representation();
-  // Final FC layers: 512x128+128 (the paper's 65,664) + output 128x7+7.
-  EXPECT_EQ(net.trainable_parameter_count(), 65664u + 128u * 7u + 7u);
+  // A head trains the final FC layers: 512x128+128 (the paper's 65,664)
+  // + output 128x7+7.
+  EXPECT_EQ(net.head()->parameter_count(), 65664u + 128u * 7u + 7u);
 }
 
 TEST(CoarseNet, EndToEndGradientCheck) {
@@ -136,39 +137,69 @@ TEST(CoarseNet, EndToEndGradientCheck) {
   }
 }
 
-TEST(CoarseNet, FreezeMarksRepresentationOnly) {
-  util::Rng rng(7);
-  CoarseNet net(tiny_config(), rng);
-  net.freeze_representation();
-  const auto params = net.parameters();
-  // Order: pooling kernel+bias, fc1 w+b, fc2 w+b, out w+b.
-  ASSERT_EQ(params.size(), 8u);
-  EXPECT_TRUE(params[0]->frozen);   // kernel
-  EXPECT_TRUE(params[1]->frozen);   // conv bias
-  EXPECT_TRUE(params[2]->frozen);   // fc1 weight
-  EXPECT_TRUE(params[3]->frozen);   // fc1 bias
-  EXPECT_FALSE(params[4]->frozen);  // fc2 weight (final layers stay live)
-  EXPECT_FALSE(params[7]->frozen);  // output bias
-
-  net.freeze_representation(false);
-  for (const Parameter* p : net.parameters()) EXPECT_FALSE(p->frozen);
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-TEST(CoarseNet, CloneIsDeepAndIdentical) {
+TEST(CoarseNet, HeadTrainsOnlyTheTail) {
+  util::Rng rng(7);
+  CoarseNet net(tiny_config(), rng);
+  const auto general = net.parameters();
+  auto head = net.head();
+  const auto tail = head->parameters();
+  // General order: pooling kernel+bias, fc1 w+b, fc2 w+b, out w+b. A head
+  // hands a trainer fc2 w+b and out w+b: its own copies, equal in value.
+  ASSERT_EQ(general.size(), 8u);
+  ASSERT_EQ(tail.size(), 4u);
+  for (std::size_t k = 0; k < tail.size(); ++k) {
+    EXPECT_NE(tail[k], general[4 + k]) << "tail parameter " << k;
+    EXPECT_TRUE(same_bits(tail[k]->value, general[4 + k]->value));
+  }
+  EXPECT_EQ(&head->pooling(), &net.pooling());
+  EXPECT_EQ(head->save_parameters(), net.save_parameters());
+
+  // Loading a blob into a head writes its tail and refuses another
+  // representation rather than writing through to the shared layers.
+  const std::vector<double> original = net.save_parameters();
+  std::vector<double> blob = original;
+  blob.back() += 1.0;
+  head->load_parameters(blob);
+  EXPECT_EQ(head->save_parameters(), blob);
+  blob.front() += 1.0;
+  EXPECT_THROW(head->load_parameters(blob), std::logic_error);
+  EXPECT_EQ(net.head(blob), nullptr);
+  EXPECT_EQ(net.save_parameters(), original);
+}
+
+TEST(CoarseNet, HeadBackwardMatchesTheGeneralsTailGradients) {
+  // A head's backward stops at its first owned layer; what it computes
+  // must be the general's full backward, bit for bit, on those layers.
   util::Rng rng(8);
   CoarseNet net(tiny_config(), rng);
-  auto clone = net.clone();
-  const LandBatch batch = tiny_batch(2, 5, 9);
-  const Matrix a = logits(net, batch);
-  const Matrix b = logits(*clone, batch);
-  for (std::size_t c = 0; c < a.cols(); ++c)
-    EXPECT_DOUBLE_EQ(a(0, c), b(0, c));
+  LandBatch batch = tiny_batch(5, 6, 9);
+  batch.mask(3, 2) = 0.0;
+  const std::vector<std::size_t> labels{0, 3, 1, 2, 3};
 
-  // Mutating the clone must not touch the original.
-  clone->parameters()[0]->value(0, 0) += 1.0;
-  const Matrix a2 = logits(net, batch);
-  for (std::size_t c = 0; c < a.cols(); ++c)
-    EXPECT_DOUBLE_EQ(a(0, c), a2(0, c));
+  CoarseWorkspace full;
+  net.init_workspace(full);
+  Matrix grad_logits;
+  softmax_cross_entropy(net.forward(batch, full), labels, &grad_logits);
+  net.backward(grad_logits, full);
+
+  auto head = net.head();
+  CoarseWorkspace tail;
+  head->init_workspace(tail);
+  Matrix head_grad_logits;
+  softmax_cross_entropy(head->forward(batch, tail), labels,
+                        &head_grad_logits);
+  head->backward(head_grad_logits, tail);
+
+  ASSERT_EQ(full.param_grads.size(), 8u);
+  ASSERT_EQ(tail.param_grads.size(), 4u);
+  for (std::size_t k = 0; k < tail.param_grads.size(); ++k)
+    EXPECT_TRUE(same_bits(tail.param_grads[k], full.param_grads[4 + k]))
+        << "tail gradient " << k;
 }
 
 TEST(CoarseNet, SaveLoadRoundTrip) {

@@ -153,12 +153,10 @@ TEST(ModelRegistry, LoadedBundleHoldsWeightsAndForestOnly) {
   // forest's share is measured the same way, by loading it alone.
   auto& p = pipeline();
   core::DiagNetModel& model = p.diagnet();
-  const auto frozen = model.general_net().clone();
-  frozen->freeze_representation();
   const std::size_t parameters =
       model.general_net().parameter_count() +
       model.specialized_services().size() *
-          frozen->trainable_parameter_count();
+          model.general_net().head()->parameter_count();
   const std::size_t parameter_bytes = parameters * sizeof(float);
 
   std::stringstream forest_stream;
@@ -386,7 +384,7 @@ TEST(SpecializedHeads, AdoptRefusesADonorWhoseFirstHiddenLayerDiffers) {
 
   // Same pooling kernel, another FC1: refused, and the donor keeps its head.
   auto altered = load();
-  altered->service_net(service).parameters()[2]->value(0, 0) += 1.0f;
+  altered->general_net().parameters()[2]->value(0, 0) += 1.0f;
   const util::Status status = base->adopt_specialized(service, *altered);
   EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition)
       << status.message();

@@ -97,7 +97,7 @@ TEST(SimdDispatch, ZeroShapeGemmIsWellDefined) {
     EXPECT_EQ(c.cols(), 0u);
 
     tensor::Matrix cv;
-    tensor::gemv(tensor::Matrix(1, 0), tensor::Matrix(0, 4), cv);
+    tensor::gemm(tensor::Matrix(1, 0), tensor::Matrix(0, 4), cv);
     ASSERT_EQ(cv.rows(), 1u);
     ASSERT_EQ(cv.cols(), 4u);
     for (std::size_t j = 0; j < cv.cols(); ++j) EXPECT_EQ(cv(0, j), 0.0);

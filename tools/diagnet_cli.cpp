@@ -10,7 +10,7 @@
 //       save the trained bundle. With --freeze-kernel --service N
 //       --from general.bin, instead fine-tune only service N's FC head on
 //       the frozen LandPooling kernel and save it as a head bundle for
-//       `serve --service-models`.
+//       `serve --service-models`. --threads and --epochs apply to both.
 //
 //   diagnet diagnose --campaign campaign.csv --model model.bin [--sample N]
 //       Load a trained model and print the ranked root causes for the
@@ -252,12 +252,21 @@ int cmd_train(const util::ParsedArgs& args) {
   std::cout << "Hidden-landmark split: " << split.train.size()
             << " train / " << split.test.size() << " test samples.\n";
 
-  // --freeze-kernel: load an already-trained bundle, freeze its shared
-  // LandPooling representation, and fine-tune only the FC head of one
-  // service. The saved bundle is a per-service head a serving router can
-  // merge back onto the general model (`serve --service-models id:path`);
-  // the frozen kernel guarantees the head shares the general model's
-  // pooling bit-for-bit, which is what lets the router batch them together.
+  // --threads and --epochs bound every specialisation, on both paths below.
+  const auto budget = [&](nn::TrainerConfig trainer) {
+    trainer.threads = threads;
+    if (epochs > 0)
+      trainer.max_epochs = std::min<std::size_t>(trainer.max_epochs, epochs);
+    return trainer;
+  };
+
+  // --freeze-kernel: load an already-trained bundle and fine-tune only the
+  // FC tail of one service's head on its shared representation (LandPooling
+  // and first hidden layer). The saved bundle is a per-service head a
+  // serving router can merge back onto the general model (`serve
+  // --service-models id:path`); training never writes the representation,
+  // so the head shares the general model's bit for bit, which is what lets
+  // the router batch them together.
   if (args.flag("freeze-kernel")) {
     const std::string from = args.str("from");
     const std::size_t service = args.uint("service");
@@ -271,12 +280,15 @@ int cmd_train(const util::ParsedArgs& args) {
       return 1;
     }
     const auto model = std::move(model_or).value();
+    model->set_specialization(budget(model->config().specialization));
     std::cout << "Fine-tuning FC head for service " << service
-              << " on frozen kernel from " << from << "...\n";
+              << " on frozen kernel from " << from << " (at most "
+              << model->config().specialization.max_epochs
+              << " epochs, threads " << threads << ")...\n";
     const auto history = model->specialize(service, split.train);
-    std::cout << "  specialised in " << (history.best_epoch + 1)
-              << " epoch(s) (" << util::fmt(history.wall_seconds, 1)
-              << " s)\n";
+    std::cout << "  specialised: " << history.epochs_run()
+              << " epoch(s) run, best at epoch " << (history.best_epoch + 1)
+              << " (" << util::fmt(history.wall_seconds, 1) << " s)\n";
     if (util::Status s = core::try_save_model_file(*model, out); !s.ok()) {
       std::cerr << "error: " << s.message() << '\n';
       return 1;
@@ -288,12 +300,8 @@ int cmd_train(const util::ParsedArgs& args) {
   core::DiagNetConfig config = core::DiagNetConfig::defaults();
   config.seed = seed;
   config.trainer.threads = threads;
-  config.specialization.threads = threads;
-  if (epochs > 0) {
-    config.trainer.max_epochs = epochs;
-    config.specialization.max_epochs =
-        std::min<std::size_t>(config.specialization.max_epochs, epochs);
-  }
+  if (epochs > 0) config.trainer.max_epochs = epochs;
+  config.specialization = budget(config.specialization);
   core::DiagNetModel model(fs, config);
   std::cout << "Training general model...\n";
   const auto history = model.train_general(split.train);
