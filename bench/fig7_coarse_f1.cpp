@@ -28,13 +28,12 @@ int main() {
   for (const bool cause_new : {false, true}) {
     const auto indices = pipeline.faulty_test_indices(cause_new);
     std::vector<std::size_t> y_true;
-    std::vector<std::size_t> y_pred;
     y_true.reserve(indices.size());
-    for (std::size_t i : indices) {
+    for (std::size_t i : indices)
       y_true.push_back(
           static_cast<std::size_t>(test.samples[i].coarse_label));
-      y_pred.push_back(pipeline.coarse_prediction(i));
-    }
+    const std::vector<std::size_t> y_pred =
+        pipeline.coarse_predictions(indices);
     const auto report = eval::classification_report(
         y_true, y_pred, netsim::kFaultFamilies);
 

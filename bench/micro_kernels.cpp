@@ -19,6 +19,7 @@
 
 #include "core/batch_diagnoser.h"
 #include "core/diagnet.h"
+#include "data/encoding.h"
 #include "eval/metrics.h"
 #include "eval/pipeline.h"
 #include "serve/service.h"
@@ -171,12 +172,16 @@ void bm_coarse_forward_single(benchmark::State& state) {
   auto& pipeline = shared_pipeline();
   const auto faulty = pipeline.faulty_test_indices();
   const auto& sample = pipeline.split().test.samples[faulty.front()];
-  auto& model = pipeline.diagnet();
   const std::vector<bool> all(pipeline.feature_space().landmark_count(),
                               true);
+  const nn::LandBatch batch =
+      data::encode_sample(sample.features, pipeline.feature_space(),
+                          pipeline.diagnet().normalizer(), all);
+  const nn::CoarseNet& net = pipeline.diagnet().general_net();
+  nn::CoarseWorkspace ws;
   for (auto _ : state) {
-    auto probs = model.coarse_predict(sample.features, sample.service, all);
-    benchmark::DoNotOptimize(probs.data());
+    const nn::Matrix& logits = net.forward(batch, ws);
+    benchmark::DoNotOptimize(logits.data());
   }
 }
 BENCHMARK(bm_coarse_forward_single);

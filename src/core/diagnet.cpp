@@ -11,7 +11,6 @@
 #include "core/batch_diagnoser.h"
 #include "core/ensemble.h"
 #include "core/score_weighting.h"
-#include "nn/softmax.h"
 #include "obs/obs.h"
 #include "util/require.h"
 #include "util/rng.h"
@@ -245,16 +244,6 @@ Diagnosis DiagNetModel::complete_diagnosis(
                      return diagnosis.scores[a] > diagnosis.scores[b];
                    });
   return diagnosis;
-}
-
-std::vector<double> DiagNetModel::coarse_predict(
-    const std::vector<double>& raw_features, std::size_t service,
-    const std::vector<bool>& landmark_available) {
-  DIAGNET_REQUIRE_MSG(trained(), "train_general() first");
-  const nn::LandBatch batch = data::encode_sample(
-      raw_features, *fs_, normalizer_, landmark_available);
-  nn::CoarseWorkspace ws;
-  return nn::softmax(service_net(service).forward(batch, ws)).row_copy(0);
 }
 
 }  // namespace diagnet::core

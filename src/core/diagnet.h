@@ -131,11 +131,6 @@ class DiagNetModel {
   /// one through the batched engine: BatchDiagnoser(*this).run({request}).
   DiagnoseResponse diagnose(const DiagnoseRequest& request);
 
-  /// Coarse fault-family probabilities only (Fig. 7 evaluates these).
-  std::vector<double> coarse_predict(const std::vector<double>& raw_features,
-                                     std::size_t service,
-                                     const std::vector<bool>& landmark_available);
-
   /// Tail of diagnosis: Algorithm 1 score weighting, ensemble blending
   /// with the auxiliary forest, and ranking, starting from an
   /// already-computed attention result (the batched engine,
@@ -194,10 +189,13 @@ class DiagNetModel {
   void set_attention_method(AttentionMethod method) {
     config_.attention = method;
   }
-  /// Trainer settings for later specialize() calls; a loaded model starts
-  /// from DiagNetConfig::defaults().
-  void set_specialization(const nn::TrainerConfig& trainer) {
+  /// Trainer settings and seed for later specialize() calls. A bundle
+  /// records neither, so a loaded model starts from
+  /// DiagNetConfig::defaults().
+  void set_specialization(const nn::TrainerConfig& trainer,
+                          std::uint64_t seed) {
     config_.specialization = trainer;
+    config_.seed = seed;
   }
 
  private:

@@ -200,21 +200,10 @@ std::vector<std::vector<std::size_t>> Pipeline::rank_all(
     ModelKind kind, const std::vector<std::size_t>& test_indices) {
   DIAGNET_SPAN("pipeline.rank_all");
   if (kind == ModelKind::DiagNet) {
-    std::vector<core::DiagnoseRequest> requests(test_indices.size());
-    for (std::size_t i = 0; i < test_indices.size(); ++i) {
-      DIAGNET_REQUIRE(test_indices[i] < split_.test.samples.size());
-      const data::Sample& sample = split_.test.samples[test_indices[i]];
-      requests[i].features = sample.features;
-      requests[i].service = sample.service;
-      requests[i].landmark_available = split_.test.landmark_available;
-    }
-    const core::BatchDiagnoser batcher(diagnet_);
-    std::vector<core::DiagnoseResponse> responses = batcher.run(requests);
+    std::vector<core::DiagnoseResponse> responses = diagnose_all(test_indices);
     std::vector<std::vector<std::size_t>> rankings(responses.size());
-    for (std::size_t i = 0; i < responses.size(); ++i) {
-      responses[i].status.throw_if_error();
+    for (std::size_t i = 0; i < responses.size(); ++i)
       rankings[i] = std::move(responses[i].diagnosis.ranking);
-    }
     return rankings;
   }
   // The flat-vector baselines are one tree/likelihood evaluation per
@@ -246,13 +235,31 @@ std::vector<double> Pipeline::recall_curve(
   return out;
 }
 
-std::size_t Pipeline::coarse_prediction(std::size_t test_index) {
-  DIAGNET_REQUIRE(test_index < split_.test.samples.size());
-  const data::Sample& sample = split_.test.samples[test_index];
-  const std::vector<double> probs = diagnet_.coarse_predict(
-      sample.features, sample.service, split_.test.landmark_available);
-  return static_cast<std::size_t>(
-      std::max_element(probs.begin(), probs.end()) - probs.begin());
+std::vector<std::size_t> Pipeline::coarse_predictions(
+    const std::vector<std::size_t>& test_indices) {
+  const std::vector<core::DiagnoseResponse> responses =
+      diagnose_all(test_indices);
+  std::vector<std::size_t> families(responses.size());
+  for (std::size_t i = 0; i < responses.size(); ++i)
+    families[i] = responses[i].diagnosis.coarse_argmax;
+  return families;
+}
+
+std::vector<core::DiagnoseResponse> Pipeline::diagnose_all(
+    const std::vector<std::size_t>& test_indices) {
+  std::vector<core::DiagnoseRequest> requests(test_indices.size());
+  for (std::size_t i = 0; i < test_indices.size(); ++i) {
+    DIAGNET_REQUIRE(test_indices[i] < split_.test.samples.size());
+    const data::Sample& sample = split_.test.samples[test_indices[i]];
+    requests[i].features = sample.features;
+    requests[i].service = sample.service;
+    requests[i].landmark_available = split_.test.landmark_available;
+  }
+  std::vector<core::DiagnoseResponse> responses =
+      core::BatchDiagnoser(diagnet_).run(requests);
+  for (const core::DiagnoseResponse& response : responses)
+    response.status.throw_if_error();
+  return responses;
 }
 
 }  // namespace diagnet::eval

@@ -89,10 +89,17 @@ class Pipeline {
                                    const std::vector<std::size_t>& test_indices,
                                    const std::vector<std::size_t>& ks);
 
-  /// Coarse fault-family prediction of DiagNet for a test sample.
-  std::size_t coarse_prediction(std::size_t test_index);
+  /// DiagNet's coarse fault-family prediction (Diagnosis::coarse_argmax)
+  /// for many test samples, through the batched diagnosis engine; result
+  /// i corresponds to test_indices[i].
+  std::vector<std::size_t> coarse_predictions(
+      const std::vector<std::size_t>& test_indices);
 
  private:
+  /// Batched DiagNet diagnosis of test samples; throws on any error.
+  std::vector<core::DiagnoseResponse> diagnose_all(
+      const std::vector<std::size_t>& test_indices);
+
   PipelineConfig config_;
   netsim::Simulator sim_;
   data::FeatureSpace fs_;

@@ -1,11 +1,8 @@
 #include "serve/json.h"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
-#include "obs/telemetry.h"  // append_json_escaped
 #include "util/require.h"
 
 namespace diagnet::serve {
@@ -272,68 +269,10 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void append_value(std::string& out, const JsonValue& value) {
-  switch (value.kind()) {
-    case JsonValue::Kind::Null:
-      out += "null";
-      return;
-    case JsonValue::Kind::Bool:
-      out += value.as_bool() ? "true" : "false";
-      return;
-    case JsonValue::Kind::Number: {
-      const double d = value.as_number();
-      if (!std::isfinite(d)) {
-        out += "null";
-        return;
-      }
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.17g", d);
-      out += buf;
-      return;
-    }
-    case JsonValue::Kind::String:
-      out += '"';
-      obs::append_json_escaped(out, value.as_string());
-      out += '"';
-      return;
-    case JsonValue::Kind::Array: {
-      out += '[';
-      bool first = true;
-      for (const JsonValue& item : value.items()) {
-        if (!first) out += ',';
-        first = false;
-        append_value(out, item);
-      }
-      out += ']';
-      return;
-    }
-    case JsonValue::Kind::Object: {
-      out += '{';
-      bool first = true;
-      for (const auto& [key, member] : value.members()) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        obs::append_json_escaped(out, key);
-        out += "\":";
-        append_value(out, member);
-      }
-      out += '}';
-      return;
-    }
-  }
-}
-
 }  // namespace
 
 util::StatusOr<JsonValue> parse_json(const std::string& text) {
   return Parser(text).parse();
-}
-
-std::string to_json(const JsonValue& value) {
-  std::string out;
-  append_value(out, value);
-  return out;
 }
 
 }  // namespace diagnet::serve

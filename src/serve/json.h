@@ -28,7 +28,6 @@ class JsonValue {
   static JsonValue object();
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::Null; }
 
   /// Typed accessors: programming error (DIAGNET_REQUIRE) on wrong kind —
   /// wire-level validation goes through the get_* helpers below.
@@ -56,9 +55,5 @@ class JsonValue {
 /// Parse one complete JSON document; trailing non-space input is an
 /// invalid_argument error (a line must be exactly one value).
 util::StatusOr<JsonValue> parse_json(const std::string& text);
-
-/// Serialise (compact, no whitespace). Doubles use round-trippable
-/// precision; non-finite doubles serialise as null (JSON has no NaN).
-std::string to_json(const JsonValue& value);
 
 }  // namespace diagnet::serve

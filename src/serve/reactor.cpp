@@ -575,81 +575,28 @@ struct ReactorLoop::Impl {
     flush(conn);
   }
 
-  /// One request line, mirroring run_session byte for byte: "cmd" objects
-  /// are in-band admin commands, anything else follows the request schema.
+  /// One request line through the shared handler (serve/server.h). A
+  /// diagnosis is formatted off-loop, on the dispatcher thread (or
+  /// synchronously for an immediate rejection), and only the finished
+  /// string crosses the completion queue.
   void process_line(Conn& conn, const std::string& line) {
     if (line.empty()) return;
-    DIAGNET_SPAN("serve.request");
-    DIAGNET_COUNT("serve.requests");
     counters->requests.fetch_add(1, std::memory_order_relaxed);
-    auto tree = parse_json(line);
-    const JsonValue* cmd =
-        tree.ok() && tree->kind() == JsonValue::Kind::Object
-            ? tree->find("cmd")
-            : nullptr;
-    if (cmd != nullptr) {
-      if (cmd->kind() != JsonValue::Kind::String) {
-        deliver_immediate(
-            conn,
-            format_error(0, util::Status::invalid_argument(
-                                "'cmd' must be a string")),
-            /*is_error=*/true);
-      } else if (cmd->as_string() == "statsz") {
-        if (hooks != nullptr && hooks->statsz) {
-          deliver_immediate(conn, hooks->statsz(), /*is_error=*/false);
-        } else {
-          deliver_immediate(
-              conn,
-              format_error(0, util::Status::unavailable(
-                                  "statsz is not available on this "
-                                  "session")),
-              /*is_error=*/true);
-        }
-      } else {
-        deliver_immediate(
-            conn,
-            format_error(0, util::Status::invalid_argument(
-                                "unknown cmd '" + cmd->as_string() + "'")),
-            /*is_error=*/true);
-      }
-      return;
-    }
-    auto parsed = tree.ok() ? parse_request(*tree)
-                            : util::StatusOr<WireRequest>(tree.status());
-    if (!parsed.ok()) {
-      deliver_immediate(conn, format_error(0, parsed.status()),
-                        /*is_error=*/true);
-      return;
-    }
     const std::uint64_t seq = conn.next_issue_seq++;
-    const std::uint64_t wire_id = parsed->id;
-    const std::size_t top_k =
-        parsed->top_k == 0 ? config.default_top_k : parsed->top_k;
-    const std::uint64_t conn_id = conn.id;
-    const steady::time_point submitted = clock();
-    // The callback runs on a dispatcher thread (or synchronously for
-    // immediate rejections): it formats the line off-loop and hands only
-    // the finished string across the completion queue.
-    service.submit(
-        std::move(parsed->request), parsed->deadline_ms,
-        [queue = cq, clk = clock, fsp = &fs, wire_id, top_k, conn_id, seq,
-         submitted](core::DiagnoseResponse response) {
+    std::optional<AnswerLine> immediate = handle_request_line(
+        service, fs, line, config.default_top_k, hooks,
+        [queue = cq, conn_id = conn.id, seq](AnswerLine answer) {
           Completed done;
           done.conn_id = conn_id;
           done.seq = seq;
-          done.is_error = !response.ok();
-          if (response.ok()) {
-            const double latency_ms =
-                std::chrono::duration<double, std::milli>(clk() - submitted)
-                    .count();
-            done.line =
-                format_response(wire_id, response, *fsp, top_k, latency_ms);
-          } else {
-            done.line = format_error(wire_id, response.status,
-                                     response.trace.request_id);
-          }
+          done.is_error = answer.is_error;
+          done.line = std::move(answer.line);
           queue->push(std::move(done));
-        });
+        },
+        clock);
+    if (immediate)
+      enqueue_response(conn, seq, std::move(immediate->line),
+                       immediate->is_error);
   }
 
   // ---- accept ---------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <deque>
 #include <future>
 #include <istream>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -20,19 +21,67 @@ namespace {
 
 using clock = std::chrono::steady_clock;
 
-/// One queued outgoing response: either an immediate (pre-formatted) error
-/// line, or a pending future the writer thread must wait on.
-struct Outgoing {
-  bool immediate = false;
-  bool immediate_is_error = true;  // false for admin-command answers
-  std::string immediate_line;
-  std::uint64_t id = 0;
-  std::size_t top_k = 5;
-  clock::time_point submitted;
-  std::future<core::DiagnoseResponse> future;
-};
+AnswerLine error_line(const util::Status& status) {
+  return {format_error(0, status), /*is_error=*/true};
+}
 
 }  // namespace
+
+std::optional<AnswerLine> handle_request_line(
+    DiagnosisService& service, const data::FeatureSpace& fs,
+    const std::string& line, std::size_t default_top_k,
+    const SessionHooks* hooks, std::function<void(AnswerLine)> done,
+    std::function<clock::time_point()> now) {
+  DIAGNET_SPAN("serve.request");
+  DIAGNET_COUNT("serve.requests");
+  // Each line is parsed once; an object carrying "cmd" is an in-band
+  // admin command, anything else follows the request schema.
+  auto tree = parse_json(line);
+  const JsonValue* cmd =
+      tree.ok() && tree->kind() == JsonValue::Kind::Object
+          ? tree->find("cmd")
+          : nullptr;
+  if (cmd != nullptr) {
+    if (cmd->kind() != JsonValue::Kind::String)
+      return error_line(
+          util::Status::invalid_argument("'cmd' must be a string"));
+    if (cmd->as_string() != "statsz")
+      return error_line(util::Status::invalid_argument(
+          "unknown cmd '" + cmd->as_string() + "'"));
+    if (hooks == nullptr || !hooks->statsz)
+      return error_line(util::Status::unavailable(
+          "statsz is not available on this session"));
+    return AnswerLine{hooks->statsz(), /*is_error=*/false};
+  }
+  auto parsed = tree.ok() ? parse_request(*tree)
+                          : util::StatusOr<WireRequest>(tree.status());
+  if (!parsed.ok()) return error_line(parsed.status());
+
+  if (!now) now = [] { return clock::now(); };
+  const std::uint64_t wire_id = parsed->id;
+  const std::size_t top_k =
+      parsed->top_k == 0 ? default_top_k : parsed->top_k;
+  const clock::time_point submitted = now();
+  // The callback formats the line where the diagnosis completes, so a
+  // transport only ever hands finished strings around.
+  service.submit(
+      std::move(parsed->request), parsed->deadline_ms,
+      [finish = std::move(done), clk = std::move(now), fsp = &fs, wire_id,
+       top_k, submitted](core::DiagnoseResponse response) {
+        if (!response.ok()) {
+          finish({format_error(wire_id, response.status,
+                             response.trace.request_id),
+                /*is_error=*/true});
+          return;
+        }
+        const double latency_ms =
+            std::chrono::duration<double, std::milli>(clk() - submitted)
+                .count();
+        finish({format_response(wire_id, response, *fsp, top_k, latency_ms),
+              /*is_error=*/false});
+      });
+  return std::nullopt;
+}
 
 SessionStats run_session(DiagnosisService& service,
                          const data::FeatureSpace& fs, std::istream& in,
@@ -43,7 +92,7 @@ SessionStats run_session(DiagnosisService& service,
 
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<Outgoing> pending;
+  std::deque<std::future<AnswerLine>> pending;
   bool reader_done = false;
 
   // Writer thread: answers strictly in submission order, so a pipelining
@@ -51,7 +100,7 @@ SessionStats run_session(DiagnosisService& service,
   // future k never starves k+1 — batching completes them together anyway.
   std::thread writer([&] {
     while (true) {
-      Outgoing next;
+      std::future<AnswerLine> next;
       {
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] { return !pending.empty() || reader_done; });
@@ -59,29 +108,13 @@ SessionStats run_session(DiagnosisService& service,
         next = std::move(pending.front());
         pending.pop_front();
       }
-      std::string line;
-      bool ok = true;
-      if (next.immediate) {
-        line = std::move(next.immediate_line);
-        ok = !next.immediate_is_error;
-      } else {
-        core::DiagnoseResponse response = next.future.get();
-        const double latency_ms =
-            std::chrono::duration<double, std::milli>(clock::now() -
-                                                      next.submitted)
-                .count();
-        ok = response.ok();
-        line = ok ? format_response(next.id, response, fs, next.top_k,
-                                    latency_ms)
-                  : format_error(next.id, response.status,
-                                 response.trace.request_id);
-      }
-      out << line << '\n';
+      const AnswerLine answer = next.get();
+      out << answer.line << '\n';
       out.flush();
       {
         std::lock_guard<std::mutex> lock(mu);
         ++stats.responses;
-        if (!ok) ++stats.errors;
+        if (answer.is_error) ++stats.errors;
       }
     }
   });
@@ -90,53 +123,16 @@ SessionStats run_session(DiagnosisService& service,
   while ((stop_flag == nullptr || !stop_flag->load()) &&
          std::getline(in, line)) {
     if (line.empty()) continue;
-    DIAGNET_SPAN("serve.request");
-    DIAGNET_COUNT("serve.requests");
-    Outgoing outgoing;
-    // Each line is parsed once; an object carrying "cmd" is an in-band
-    // admin command, anything else follows the request schema.
-    auto tree = parse_json(line);
-    const JsonValue* cmd =
-        tree.ok() && tree->kind() == JsonValue::Kind::Object
-            ? tree->find("cmd")
-            : nullptr;
-    if (cmd != nullptr) {
-      outgoing.immediate = true;
-      if (cmd->kind() != JsonValue::Kind::String) {
-        outgoing.immediate_line = format_error(
-            0, util::Status::invalid_argument("'cmd' must be a string"));
-      } else if (cmd->as_string() == "statsz") {
-        if (hooks != nullptr && hooks->statsz) {
-          outgoing.immediate_is_error = false;
-          outgoing.immediate_line = hooks->statsz();
-        } else {
-          outgoing.immediate_line = format_error(
-              0, util::Status::unavailable(
-                     "statsz is not available on this session"));
-        }
-      } else {
-        outgoing.immediate_line = format_error(
-            0, util::Status::invalid_argument("unknown cmd '" +
-                                              cmd->as_string() + "'"));
-      }
-    } else {
-      auto parsed = tree.ok() ? parse_request(*tree)
-                              : util::StatusOr<WireRequest>(tree.status());
-      if (!parsed.ok()) {
-        outgoing.immediate = true;
-        outgoing.immediate_line = format_error(0, parsed.status());
-      } else {
-        outgoing.id = parsed->id;
-        outgoing.top_k = parsed->top_k == 0 ? default_top_k : parsed->top_k;
-        outgoing.submitted = clock::now();
-        outgoing.future =
-            service.submit(std::move(parsed->request), parsed->deadline_ms);
-      }
-    }
+    auto answer = std::make_shared<std::promise<AnswerLine>>();
+    std::future<AnswerLine> future = answer->get_future();
+    if (std::optional<AnswerLine> immediate = handle_request_line(
+            service, fs, line, default_top_k, hooks,
+            [answer](AnswerLine done) { answer->set_value(std::move(done)); }))
+      answer->set_value(std::move(*immediate));
     {
       std::lock_guard<std::mutex> lock(mu);
       ++stats.requests;
-      pending.push_back(std::move(outgoing));
+      pending.push_back(std::move(future));
     }
     cv.notify_one();
   }

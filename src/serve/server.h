@@ -4,6 +4,10 @@
 // TCP transport is the epoll reactor (serve/reactor.h), whose line framer
 // (serve/framing.h) splits lines exactly as this session's getline does.
 //
+// Both transports turn a request line into a response line through the
+// one handle_request_line() below; they differ only in how they keep
+// answers in submission order.
+//
 // A session reads one request per line, submits it to the
 // DiagnosisService, and writes one response line per request *in
 // submission order* (a dedicated writer thread waits on the per-request
@@ -13,9 +17,11 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "data/feature_space.h"
@@ -36,6 +42,27 @@ struct SessionStats {
 struct SessionHooks {
   std::function<std::string()> statsz;  // one-line JSON snapshot
 };
+
+/// One rendered response line, and whether it reports an error.
+struct AnswerLine {
+  std::string line;
+  bool is_error = false;
+};
+
+/// Handle one non-empty request line, as every transport does. An object
+/// carrying "cmd" is an in-band admin command; anything else follows the
+/// request schema, its top_k defaulting to `default_top_k`. An admin
+/// command or a line that does not parse is answered at once through the
+/// return value. A request is submitted to `service` instead (nullopt is
+/// returned), and `done` receives its line exactly once: on the
+/// dispatcher thread, or synchronously for an immediate rejection. `done`
+/// must be cheap and must not call back into the service. `now` times the
+/// latency_ms field (steady_clock::now when empty).
+std::optional<AnswerLine> handle_request_line(
+    DiagnosisService& service, const data::FeatureSpace& fs,
+    const std::string& line, std::size_t default_top_k,
+    const SessionHooks* hooks, std::function<void(AnswerLine)> done,
+    std::function<std::chrono::steady_clock::time_point()> now = {});
 
 /// Run one stdio-style session to completion (EOF on `in`, or
 /// `stop_flag` becoming true between lines — e.g. from a SIGINT handler).

@@ -12,10 +12,61 @@ namespace diagnet::serve {
 namespace {
 namespace fs = std::filesystem;
 using clock = std::chrono::steady_clock;
+
+/// Fold one 64-bit word into an FNV-1a style running hash, so a merged
+/// model's checksum deterministically combines every bundle's payload
+/// checksum (and the service id each head is routed to).
+std::uint64_t fold_checksum(std::uint64_t h, std::uint64_t word) {
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (i * 8)) & 0xffULL;
+    h *= kPrime;
+  }
+  return h;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // ModelProvider
+
+util::StatusOr<std::vector<ServiceModelSpec>> parse_service_models(
+    const std::string& spec) {
+  std::vector<ServiceModelSpec> out;
+  std::size_t pos = 0;
+  while (pos <= spec.size()) {
+    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
+    const std::string entry = spec.substr(pos, comma - pos);
+    pos = comma + 1;
+    if (entry.empty()) {
+      if (spec.empty()) break;
+      return util::Status::invalid_argument(
+          "--service-models has an empty entry");
+    }
+    const std::size_t colon = entry.find(':');
+    if (colon == std::string::npos || colon == 0 || colon + 1 == entry.size())
+      return util::Status::invalid_argument(
+          "--service-models entry '" + entry + "' is not id:path");
+    const std::string id = entry.substr(0, colon);
+    if (id.find_first_not_of("0123456789") != std::string::npos)
+      return util::Status::invalid_argument(
+          "--service-models entry '" + entry + "' has a non-numeric id");
+    ServiceModelSpec parsed;
+    try {
+      parsed.service = std::stoull(id);
+    } catch (const std::exception&) {
+      return util::Status::invalid_argument(
+          "--service-models id '" + id + "' is out of range");
+    }
+    parsed.path = entry.substr(colon + 1);
+    for (const ServiceModelSpec& seen : out)
+      if (seen.service == parsed.service)
+        return util::Status::invalid_argument(
+            "--service-models routes service " + id + " twice");
+    out.push_back(std::move(parsed));
+  }
+  return out;
+}
 
 ModelProvider::ModelProvider(std::shared_ptr<core::DiagNetModel> model,
                              std::uint64_t checksum)
@@ -24,33 +75,60 @@ ModelProvider::ModelProvider(std::shared_ptr<core::DiagNetModel> model,
 }
 
 util::StatusOr<std::shared_ptr<ModelProvider>> ModelProvider::from_file(
-    const std::string& path, const data::FeatureSpace& feature_space) {
-  core::ModelBundleInfo info;
-  auto loaded = core::try_load_model_file(path, feature_space, &info);
-  if (!loaded.ok()) return loaded.status();
-  auto provider = std::make_shared<ModelProvider>(
-      std::shared_ptr<core::DiagNetModel>(std::move(loaded).value()));
-  provider->checksum_ = info.checksum;
-  std::error_code ec;
-  const auto mtime = fs::last_write_time(path, ec);
-  if (!ec) {
-    provider->last_mtime_ = mtime;
-    provider->has_mtime_ = true;
-  }
+    const std::string& path, const data::FeatureSpace& feature_space,
+    std::vector<ServiceModelSpec> heads) {
+  Loaded loaded;
+  if (util::Status status = load(path, heads, feature_space, loaded);
+      !status.ok())
+    return status;
+  auto provider = std::make_shared<ModelProvider>(std::move(loaded.model),
+                                                  loaded.checksum);
+  provider->path_ = path;
+  provider->heads_ = std::move(heads);
+  provider->fs_ = &feature_space;
+  provider->mtimes_ = std::move(loaded.mtimes);
   return provider;
+}
+
+util::Status ModelProvider::load(const std::string& path,
+                                 const std::vector<ServiceModelSpec>& heads,
+                                 const data::FeatureSpace& feature_space,
+                                 Loaded& out) {
+  out.mtimes.clear();
+  const auto stat = [&](const std::string& file) {
+    std::error_code ec;
+    const auto mtime = fs::last_write_time(file, ec);
+    out.mtimes.push_back(ec ? fs::file_time_type{} : mtime);
+  };
+  stat(path);
+  for (const ServiceModelSpec& head : heads) stat(head.path);
+
+  core::ModelBundleInfo info;
+  auto general = core::try_load_model_file(path, feature_space, &info);
+  if (!general.ok()) return general.status();
+  std::shared_ptr<core::DiagNetModel> model(std::move(general).value());
+  std::uint64_t checksum = info.checksum;
+
+  for (const ServiceModelSpec& head : heads) {
+    core::ModelBundleInfo head_info;
+    auto donor =
+        core::try_load_model_file(head.path, feature_space, &head_info);
+    if (!donor.ok()) return donor.status();
+    util::Status adopted =
+        model->adopt_specialized(head.service, *std::move(donor).value());
+    if (!adopted.ok()) return adopted;
+    checksum = fold_checksum(checksum, head.service);
+    checksum = fold_checksum(checksum, head_info.checksum);
+  }
+
+  out.model = std::move(model);
+  out.checksum = checksum;
+  return {};
 }
 
 std::shared_ptr<core::DiagNetModel> ModelProvider::current() const {
   std::lock_guard<std::mutex> lock(mu_);
   return model_;
-}
-
-void ModelProvider::swap(std::shared_ptr<core::DiagNetModel> next) {
-  DIAGNET_REQUIRE_MSG(next != nullptr, "cannot swap in a null model");
-  std::lock_guard<std::mutex> lock(mu_);
-  model_ = std::move(next);
-  ++generation_;
-  DIAGNET_COUNT("serve.model_swaps");
 }
 
 void ModelProvider::swap(std::shared_ptr<core::DiagNetModel> next,
@@ -63,47 +141,45 @@ void ModelProvider::swap(std::shared_ptr<core::DiagNetModel> next,
   DIAGNET_COUNT("serve.model_swaps");
 }
 
-util::Status ModelProvider::reload_from(const std::string& path,
-                                        const data::FeatureSpace& fs) {
-  core::ModelBundleInfo info;
-  auto loaded = core::try_load_model_file(path, fs, &info);
-  if (!loaded.ok()) return loaded.status();
-  std::error_code ec;
-  const auto mtime = std::filesystem::last_write_time(path, ec);
-  swap(std::move(loaded).value());
-  std::lock_guard<std::mutex> lock(mu_);
-  checksum_ = info.checksum;
-  if (!ec) {
-    last_mtime_ = mtime;
-    has_mtime_ = true;
-  }
-  return {};
-}
-
-bool ModelProvider::poll_and_reload(const std::string& path,
-                                    const data::FeatureSpace& fs,
-                                    util::Status* status) {
+bool ModelProvider::poll_and_reload(util::Status* status) {
   *status = util::Status();
-  std::error_code ec;
-  const auto mtime = std::filesystem::last_write_time(path, ec);
-  if (ec) {
-    // A transiently missing file (e.g. mid-rename during an atomic
-    // publish) is not an error; the current model keeps serving.
-    return false;
-  }
+  if (path_.empty()) return false;
+
+  // Stat every watched file. A transiently missing file (mid-rename during
+  // an atomic publish) is not a change; the current model keeps serving.
+  std::vector<fs::file_time_type> mtimes;
+  mtimes.reserve(1 + heads_.size());
+  const auto stat_or_bail = [&](const std::string& path) {
+    std::error_code ec;
+    const auto mtime = fs::last_write_time(path, ec);
+    if (ec) return false;
+    mtimes.push_back(mtime);
+    return true;
+  };
+  if (!stat_or_bail(path_)) return false;
+  for (const ServiceModelSpec& head : heads_)
+    if (!stat_or_bail(head.path)) return false;
+
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (has_mtime_ && mtime <= last_mtime_) return false;
+    bool newer = false;
+    for (std::size_t i = 0; i < mtimes.size(); ++i)
+      newer = newer || mtimes[i] > mtimes_[i];
+    if (!newer) return false;
   }
-  *status = reload_from(path, fs);
-  if (!status->ok()) {
-    // Remember the bad bundle's mtime so a broken file is not re-parsed
-    // every poll tick; the next *newer* write retries.
+
+  // Something changed: rebuild the whole merge, then publish it in one
+  // swap so no batch ever sees a partial set of heads.
+  Loaded loaded;
+  *status = load(path_, heads_, *fs_, loaded);
+  {
+    // Remember the attempted mtimes either way, so a broken bundle is not
+    // re-parsed every poll tick; the next newer write retries.
     std::lock_guard<std::mutex> lock(mu_);
-    last_mtime_ = mtime;
-    has_mtime_ = true;
-    return false;
+    mtimes_ = std::move(loaded.mtimes);
   }
+  if (!status->ok()) return false;
+  swap(std::move(loaded.model), loaded.checksum);
   return true;
 }
 

@@ -21,10 +21,18 @@
 //    stops implicitly, so no future is ever abandoned.
 //
 // Model hot-swap: the service reads its model through a ModelProvider,
-// which hands out shared_ptr snapshots. swap()/reload_from() atomically
-// replace the pointer; a batch in flight keeps the old model alive until
-// it completes, while the next batch picks up the new one. Requests are
-// never mixed across models within a batch.
+// which hands out shared_ptr snapshots. swap()/poll_and_reload()
+// atomically replace the pointer; a batch in flight keeps the old model
+// alive until it completes, while the next batch picks up the new one.
+// Requests are never mixed across models within a batch.
+//
+// The served model is one general bundle plus zero or more per-service
+// head bundles (`diagnet train --freeze-kernel --service <id>`), each
+// head moved in through DiagNetModel::adopt_specialized, which binds it
+// to the general's frozen representation so the batched engine pools a
+// mixed-service batch once (core/batch_diagnoser.h). A reload rebuilds
+// that whole merge and publishes it in one generation bump, so no batch
+// ever sees a half-updated set of heads.
 #pragma once
 
 #include <atomic>
@@ -47,60 +55,86 @@
 
 namespace diagnet::serve {
 
+/// One per-service bundle mapping: serve `service` with the specialized
+/// head found in the bundle at `path`.
+struct ServiceModelSpec {
+  std::size_t service = 0;
+  std::string path;
+};
+
+/// Parse a `--service-models` value: comma-separated `id:path` pairs, e.g.
+/// "0:svc0.dnet,3:svc3.dnet". Rejects malformed ids, empty paths and
+/// duplicate service ids.
+util::StatusOr<std::vector<ServiceModelSpec>> parse_service_models(
+    const std::string& spec);
+
 /// Atomic handle to the currently-served model. Thread-safe; cheap to
 /// snapshot (one mutex-protected shared_ptr copy).
 class ModelProvider {
  public:
+  /// Serve `model` as handed in; nothing is watched, so poll_and_reload()
+  /// is a no-op.
   explicit ModelProvider(std::shared_ptr<core::DiagNetModel> model,
                          std::uint64_t checksum = 0);
 
-  /// Load the initial model from a registry bundle; remembers the file's
-  /// mtime so a subsequent poll_and_reload() only fires on a newer write.
+  /// Load the general bundle at `path` and merge every head bundle in
+  /// `heads` onto it, recording each file's mtime for poll_and_reload().
+  /// Any load or merge failure is returned as-is (nothing is served).
   static util::StatusOr<std::shared_ptr<ModelProvider>> from_file(
-      const std::string& path, const data::FeatureSpace& fs);
+      const std::string& path, const data::FeatureSpace& fs,
+      std::vector<ServiceModelSpec> heads = {});
 
   /// The model new batches should use. Never null.
   std::shared_ptr<core::DiagNetModel> current() const;
 
-  /// Atomically publish a new model. In-flight users of the old snapshot
-  /// are unaffected (shared ownership keeps it alive).
-  void swap(std::shared_ptr<core::DiagNetModel> next);
+  /// Atomically publish a new model with its payload checksum (0 when it
+  /// came from no bundle). In-flight users of the old snapshot are
+  /// unaffected (shared ownership keeps it alive).
+  void swap(std::shared_ptr<core::DiagNetModel> next,
+            std::uint64_t checksum = 0);
 
-  /// Publish a new model together with its payload checksum in one
-  /// generation bump — the router path, where the served model is merged
-  /// from several bundle files and the checksum is the combination the
-  /// caller computed over all of them.
-  void swap(std::shared_ptr<core::DiagNetModel> next, std::uint64_t checksum);
-
-  /// Load a bundle through the v2 checksummed registry and swap it in.
-  /// On any error (missing file, corrupt bundle, wrong deployment shape)
-  /// the current model stays and the Status says why — a bad bundle can
-  /// never take down a serving process.
-  util::Status reload_from(const std::string& path,
-                           const data::FeatureSpace& fs);
-
-  /// Poll `path` for a newer modification time than the last successful
-  /// (re)load and reload when seen. Returns true when a swap happened;
-  /// errors are reported through *status (which is OK on no-op).
-  bool poll_and_reload(const std::string& path,
-                       const data::FeatureSpace& fs, util::Status* status);
+  /// Re-stat every loaded bundle file. When any is newer than the last
+  /// load (or last attempt), rebuild the whole merge and publish it with
+  /// one generation bump; returns true when a swap happened. A missing
+  /// file (mid-rename during an atomic publish) is a no-op. On failure
+  /// the current model keeps serving — a bad bundle can never take down a
+  /// serving process — *status says why (OK on no-op), and the attempt is
+  /// remembered so the broken file is not re-parsed until its next write.
+  bool poll_and_reload(util::Status* status);
 
   /// Generation counter: starts at 1, +1 per successful swap/reload.
   std::uint64_t generation() const;
 
-  /// FNV-1a payload checksum of the bundle behind current(), as recorded
-  /// by the v2 registry at load time — statsz exposes it so an operator
-  /// can verify which trained weights a process serves. 0 when the model
-  /// was handed in directly (no bundle ever loaded).
+  /// Payload checksum of the model behind current(), so statsz can tell
+  /// an operator which trained weights a process serves: the general
+  /// bundle's registry checksum, with each (service id, head checksum)
+  /// pair FNV-folded onto it when heads are merged. 0 for a model handed
+  /// in directly.
   std::uint64_t checksum() const;
 
  private:
+  struct Loaded {
+    std::shared_ptr<core::DiagNetModel> model;
+    std::uint64_t checksum = 0;
+    std::vector<std::filesystem::file_time_type> mtimes;  // general first
+  };
+
+  /// Load the general bundle at `path` and merge `heads` onto it. Every
+  /// file is stat'ed into `out.mtimes` before any is read, so a write that
+  /// lands mid-load is seen by the next poll.
+  static util::Status load(const std::string& path,
+                           const std::vector<ServiceModelSpec>& heads,
+                           const data::FeatureSpace& fs, Loaded& out);
+
+  std::string path_;  // empty: nothing to watch
+  std::vector<ServiceModelSpec> heads_;
+  const data::FeatureSpace* fs_ = nullptr;
+
   mutable std::mutex mu_;
   std::shared_ptr<core::DiagNetModel> model_;
   std::uint64_t generation_ = 1;
   std::uint64_t checksum_ = 0;
-  std::filesystem::file_time_type last_mtime_{};
-  bool has_mtime_ = false;
+  std::vector<std::filesystem::file_time_type> mtimes_;
 };
 
 struct ServiceConfig {

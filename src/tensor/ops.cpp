@@ -59,9 +59,9 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
   });
 }
 
-namespace {
-
-void gemm_at_b_impl(const Matrix& a, const Matrix& b, Matrix& c) {
+void gemm_at_b_acc(const Matrix& a, const Matrix& b, Matrix& c) {
+  DIAGNET_REQUIRE(a.rows() == b.rows());
+  DIAGNET_REQUIRE(c.rows() == a.cols() && c.cols() == b.cols());
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
   if (m == 0 || n == 0 || k == 0) return;  // accumulate nothing
   const Kernels& K = detail::active_kernels();
@@ -70,20 +70,6 @@ void gemm_at_b_impl(const Matrix& a, const Matrix& b, Matrix& c) {
     K.gemm_acc(c.row_ptr(r0), n, a.data() + r0, 1, m, b.data(), n, rows, k,
                n);
   });
-}
-
-}  // namespace
-
-void gemm_at_b(const Matrix& a, const Matrix& b, Matrix& c) {
-  DIAGNET_REQUIRE(a.rows() == b.rows());
-  c.resize_zero(a.cols(), b.cols());
-  gemm_at_b_impl(a, b, c);
-}
-
-void gemm_at_b_acc(const Matrix& a, const Matrix& b, Matrix& c) {
-  DIAGNET_REQUIRE(a.rows() == b.rows());
-  DIAGNET_REQUIRE(c.rows() == a.cols() && c.cols() == b.cols());
-  gemm_at_b_impl(a, b, c);
 }
 
 void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& c) {
@@ -116,32 +102,13 @@ void add_row_bias(Matrix& m, const Matrix& bias) {
     K.axpy1(m.row_ptr(r), bias.data(), 1.0f, m.cols());
 }
 
-namespace {
-
-void sum_rows_impl(const Matrix& grad, Matrix& out) {
+void sum_rows_acc(const Matrix& grad, Matrix& out) {
+  DIAGNET_REQUIRE(out.rows() == 1 && out.cols() == grad.cols());
   if (grad.rows() == 0 || grad.cols() == 0) return;  // nothing to add
   const Kernels& K = detail::active_kernels();
   float* o = out.data();
   for (std::size_t r = 0; r < grad.rows(); ++r)
     K.axpy1(o, grad.row_ptr(r), 1.0f, grad.cols());
-}
-
-}  // namespace
-
-void sum_rows(const Matrix& grad, Matrix& out) {
-  out.resize_zero(1, grad.cols());
-  sum_rows_impl(grad, out);
-}
-
-void sum_rows_acc(const Matrix& grad, Matrix& out) {
-  DIAGNET_REQUIRE(out.rows() == 1 && out.cols() == grad.cols());
-  sum_rows_impl(grad, out);
-}
-
-float dot(const Matrix& a, const Matrix& b) {
-  DIAGNET_REQUIRE(a.same_shape(b));
-  if (a.size() == 0) return 0.0f;
-  return detail::active_kernels().dot(a.data(), b.data(), a.size());
 }
 
 }  // namespace diagnet::tensor

@@ -4,7 +4,7 @@
 //
 // Every GEMM cuts C into fixed 32-row blocks and hands each block to a
 // microkernel chosen at startup by tensor::dispatch (scalar or AVX2+FMA —
-// see dispatch.h): gemm and gemm_at_b[_acc] to the tier's gemm_acc
+// see dispatch.h): gemm and gemm_at_b_acc to the tier's gemm_acc
 // (6 x 16 register tiles over packed 16-column panels of B on AVX2), gemm_a_bt to
 // its gemm_bt (several A rows per B-row load). Above a flop threshold the
 // blocks fan out over the global thread pool (util::parallel_for).
@@ -24,12 +24,9 @@ namespace diagnet::tensor {
 /// the bits the row-block kernel would give it.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// C = A^T (K x M -> M x K view) · B. A is (K x M) in memory.
-void gemm_at_b(const Matrix& a, const Matrix& b, Matrix& c);
-
-/// C += A^T · B without zeroing C first (C must already be M x N). The
-/// backward pass accumulates dW straight into a pre-zeroed gradient buffer
-/// instead of materialising a temporary.
+/// C += A^T · B, A stored (K x M), without zeroing C first (C must
+/// already be M x N). The backward pass accumulates dW straight into a
+/// pre-zeroed gradient buffer instead of materialising a temporary.
 void gemm_at_b_acc(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C = A · B^T. B is (N x K) in memory.
@@ -41,13 +38,8 @@ void axpy(float alpha, const Matrix& a, Matrix& c);
 /// out(r, c) = m(r, c) + bias(0, c): broadcast a row bias over all rows.
 void add_row_bias(Matrix& m, const Matrix& bias);
 
-/// bias_grad(0, c) = sum_r grad(r, c): reduce rows (the bias backward).
-void sum_rows(const Matrix& grad, Matrix& out);
-
-/// out(0, c) += sum_r grad(r, c): accumulating variant (out must be 1 x N).
+/// out(0, c) += sum_r grad(r, c): the bias backward, accumulated (out
+/// must be 1 x N).
 void sum_rows_acc(const Matrix& grad, Matrix& out);
-
-/// Frobenius dot product (the active tier's fp32 dot).
-float dot(const Matrix& a, const Matrix& b);
 
 }  // namespace diagnet::tensor

@@ -100,15 +100,15 @@ void check_gemm_oracle(CaseContext& ctx) {
                        oracle::gemm(oracle::abs(a), oracle::abs(b))),
                    0.0, tol, "gemm vs oracle" + tag);
 
-    // C = A^T · B with A stored (K x M)
+    // C += A^T · B onto zeros, with A stored (K x M)
     const tensor::Matrix at = gen::matrix(rng, shape.k, shape.m);
     tensor::Matrix c2(shape.m, shape.n);
-    tensor::gemm_at_b(at, b, c2);
+    tensor::gemm_at_b_acc(at, b, c2);
     const tensor::Matrix want_atb = oracle::gemm_at_b(at, b);
     const tensor::Matrix mag_atb =
         oracle::gemm_at_b(oracle::abs(at), oracle::abs(b));
     ctx.check_near(oracle::max_scaled_err(c2, want_atb, mag_atb), 0.0, tol,
-                   "gemm_at_b vs oracle" + tag);
+                   "gemm_at_b_acc onto zeros vs oracle" + tag);
 
     // C += A^T · B on a random pre-filled accumulator: k + 1 terms, and
     // one more rounding for adding `before` to the rounded reference.

@@ -9,7 +9,7 @@
 
 namespace diagnet::testkit {
 
-/// tensor::ops gemm / gemm_at_b / gemm_at_b_acc / gemm_a_bt against the
+/// tensor::ops gemm / gemm_at_b_acc / gemm_a_bt against the
 /// oracle, in the scalar, tiled and thread-pool shape regimes.
 void check_gemm_oracle(CaseContext& ctx);
 

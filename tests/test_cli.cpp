@@ -230,6 +230,38 @@ TEST(Cli, FreezeKernelFineTuneHonoursEpochsAndThreads) {
     std::remove(path.c_str());
 }
 
+TEST(Cli, FreezeKernelFineTuneReproducesTrainedHead) {
+  // A --freeze-kernel fine-tune seeds its head from --seed, as a full train
+  // does: re-training service 0's head of a bundle with the train's own
+  // seed and budget reproduces that bundle byte for byte.
+  const char* dir = std::getenv("TMPDIR");
+  const std::string base = (dir && *dir ? std::string(dir)
+                                        : std::string("/tmp")) +
+                           "/diagnet_cli_ft_seed";
+  const std::string campaign = base + ".csv";
+  const std::string general = base + "_general.bin";
+  const std::string head = base + "_head.bin";
+  ASSERT_EQ(run_cli("simulate --samples 900 --seed 7 --out " + campaign)
+                .exit_code,
+            0);
+  const CliResult trained =
+      run_cli("train --campaign " + campaign + " --out " + general +
+              " --epochs 2 --seed 5");
+  ASSERT_EQ(trained.exit_code, 0) << trained.output;
+  const CliResult tuned =
+      run_cli("train --campaign " + campaign + " --out " + head +
+              " --freeze-kernel --service 0 --epochs 2 --seed 5 --from " +
+              general);
+  ASSERT_EQ(tuned.exit_code, 0) << tuned.output;
+
+  const std::string original = read_file(general);
+  ASSERT_FALSE(original.empty());
+  EXPECT_TRUE(read_file(head) == original)
+      << "the fine-tuned head differs from the trained one";
+  for (const std::string& path : {campaign, general, head})
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // selfcheck subcommand
 

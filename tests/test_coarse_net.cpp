@@ -1,14 +1,13 @@
 // Tests for the assembled coarse network: shapes, end-to-end gradient
 // check (through LandPooling, concat, MLP and softmax loss, down to both
-// input groups), heads on a frozen representation and (de)serialisation.
+// input groups), heads on a frozen representation and parameter
+// save/load.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <sstream>
 
 #include "nn/coarse_net.h"
-#include "nn/serialize.h"
 #include "nn/softmax.h"
 #include "tests/test_helpers.h"
 #include "testkit/nets.h"
@@ -221,18 +220,6 @@ TEST(CoarseNet, LoadRejectsWrongSize) {
   std::vector<double> blob = net.save_parameters();
   blob.pop_back();
   EXPECT_THROW(net.load_parameters(blob), std::logic_error);
-}
-
-TEST(ParameterBlob, StreamRoundTrip) {
-  const std::vector<double> flat{1.0, -2.5, 3.25, 0.0};
-  std::stringstream ss;
-  write_parameter_blob(ss, flat);
-  EXPECT_EQ(read_parameter_blob(ss), flat);
-}
-
-TEST(ParameterBlob, RejectsGarbage) {
-  std::stringstream ss("not a blob at all");
-  EXPECT_THROW(read_parameter_blob(ss), std::runtime_error);
 }
 
 }  // namespace

@@ -116,11 +116,10 @@ TEST(Integration, SpecialisationConvergesFasterThanGeneral) {
 
 TEST(Integration, CoarsePredictionsAreValidFamilies) {
   auto& p = pipeline();
-  const auto faulty = p.faulty_test_indices();
-  for (std::size_t i = 0; i < std::min<std::size_t>(30, faulty.size());
-       ++i) {
-    EXPECT_LT(p.coarse_prediction(faulty[i]), netsim::kFaultFamilies);
-  }
+  auto faulty = p.faulty_test_indices();
+  faulty.resize(std::min<std::size_t>(30, faulty.size()));
+  for (std::size_t family : p.coarse_predictions(faulty))
+    EXPECT_LT(family, netsim::kFaultFamilies);
 }
 
 TEST(Integration, InferenceOnFewerLandmarksThanTraining) {

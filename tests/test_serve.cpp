@@ -28,7 +28,6 @@
 #include "serve/json.h"
 #include "serve/loadgen.h"
 #include "serve/reactor.h"
-#include "serve/router.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/statsz.h"
@@ -341,10 +340,15 @@ TEST(ModelProvider, BadBundleNeverTakesDownServing) {
   ASSERT_TRUE(provider_or.ok()) << provider_or.status().to_string();
   auto provider = std::move(provider_or).value();
   EXPECT_EQ(provider->generation(), 1u);
+  // With no heads, the checksum is the bundle's own payload checksum.
+  core::ModelBundleInfo info;
+  ASSERT_TRUE(
+      core::try_load_model_file(path, p.feature_space(), &info).ok());
+  EXPECT_EQ(provider->checksum(), info.checksum);
 
   // Unchanged file: polling is a no-op.
   util::Status status;
-  EXPECT_FALSE(provider->poll_and_reload(path, p.feature_space(), &status));
+  EXPECT_FALSE(provider->poll_and_reload(&status));
   EXPECT_TRUE(status.ok());
 
   // Corrupt overwrite with a newer mtime: the reload is refused, the old
@@ -356,7 +360,7 @@ TEST(ModelProvider, BadBundleNeverTakesDownServing) {
   std::filesystem::last_write_time(
       path, std::filesystem::file_time_type::clock::now() +
                 std::chrono::seconds(2));
-  EXPECT_FALSE(provider->poll_and_reload(path, p.feature_space(), &status));
+  EXPECT_FALSE(provider->poll_and_reload(&status));
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(provider->generation(), 1u);
   EXPECT_TRUE(provider->current()
@@ -364,7 +368,7 @@ TEST(ModelProvider, BadBundleNeverTakesDownServing) {
                   .ok());
 
   // The bad mtime is remembered: the broken file is not re-parsed.
-  EXPECT_FALSE(provider->poll_and_reload(path, p.feature_space(), &status));
+  EXPECT_FALSE(provider->poll_and_reload(&status));
   EXPECT_TRUE(status.ok());
 
   // A newer good bundle swaps in.
@@ -372,9 +376,15 @@ TEST(ModelProvider, BadBundleNeverTakesDownServing) {
   std::filesystem::last_write_time(
       path, std::filesystem::file_time_type::clock::now() +
                 std::chrono::seconds(4));
-  EXPECT_TRUE(provider->poll_and_reload(path, p.feature_space(), &status));
+  EXPECT_TRUE(provider->poll_and_reload(&status));
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(provider->generation(), 2u);
+
+  // A model swapped in directly came from no bundle: checksum() describes
+  // current(), so it no longer names the file's weights.
+  provider->swap(pipeline_model());
+  EXPECT_EQ(provider->generation(), 3u);
+  EXPECT_EQ(provider->checksum(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -907,7 +917,7 @@ TEST(Server, LoadgenDrivesReactorEndToEnd) {
 #endif  // __linux__
 
 // ---------------------------------------------------------------------------
-// Per-service specialized-model router
+// Per-service specialized heads merged and reloaded by ModelProvider
 
 TEST(ModelRouter, ParseServiceModels) {
   auto empty = serve::parse_service_models("");
@@ -931,7 +941,7 @@ TEST(ModelRouter, ParseServiceModels) {
   EXPECT_FALSE(serve::parse_service_models("99999999999999999999:a").ok());
 }
 
-/// Shared fixture material for the router tests: a general bundle on disk
+/// Shared fixture material for the head-merge tests: a general bundle on disk
 /// plus two per-service head bundles fine-tuned (on a truncated split, so
 /// their heads are bit-distinguishable from the general model's own) the
 /// way `diagnet train --freeze-kernel --service <id>` produces them.
@@ -979,22 +989,21 @@ TEST(ModelRouter, RoutesByServiceAcrossBundles) {
   auto& p = pipeline();
   const RouterBundles b = make_router_bundles("route");
 
-  serve::ModelRouter::Config config;
-  config.default_path = b.general_path;
-  config.services = {{b.service_a, b.head_a_path},
-                     {b.service_b, b.head_b_path}};
-  auto router_or = serve::ModelRouter::create(config, p.feature_space());
-  ASSERT_TRUE(router_or.ok()) << router_or.status().to_string();
-  auto router = std::move(router_or).value();
+  auto provider_or = serve::ModelProvider::from_file(
+      b.general_path, p.feature_space(),
+      {{b.service_a, b.head_a_path}, {b.service_b, b.head_b_path}});
+  ASSERT_TRUE(provider_or.ok()) << provider_or.status().to_string();
+  auto provider = std::move(provider_or).value();
 
-  const std::vector<std::size_t> routed = router->services();
+  const std::vector<std::size_t> routed =
+      provider->current()->specialized_services();
   EXPECT_TRUE(std::find(routed.begin(), routed.end(), b.service_a) !=
               routed.end());
   EXPECT_TRUE(std::find(routed.begin(), routed.end(), b.service_b) !=
               routed.end());
-  ASSERT_NE(router->provider(), nullptr);
-  EXPECT_EQ(router->provider()->generation(), 1u);
-  EXPECT_NE(router->provider()->checksum(), 0u);
+  ASSERT_NE(provider, nullptr);
+  EXPECT_EQ(provider->generation(), 1u);
+  EXPECT_NE(provider->checksum(), 0u);
 
   // Per routed service: the merged model must answer with the donor
   // bundle's head (bit-identical to diagnosing against the donor model
@@ -1021,8 +1030,7 @@ TEST(ModelRouter, RoutesByServiceAcrossBundles) {
     ASSERT_NE(want.diagnosis.scores, general.diagnosis.scores)
         << "fine-tuned and general heads must be distinguishable";
 
-    core::DiagnoseResponse got =
-        router->provider()->current()->diagnose(request);
+    core::DiagnoseResponse got = provider->current()->diagnose(request);
     ASSERT_TRUE(got.ok()) << got.status.to_string();
     expect_bit_identical(got.diagnosis, want.diagnosis);
   };
@@ -1034,14 +1042,12 @@ TEST(ModelRouter, ReloadIsAllOrNothingAcrossBundles) {
   auto& p = pipeline();
   const RouterBundles b = make_router_bundles("reload");
 
-  serve::ModelRouter::Config config;
-  config.default_path = b.general_path;
-  config.services = {{b.service_a, b.head_a_path},
-                     {b.service_b, b.head_b_path}};
-  auto router_or = serve::ModelRouter::create(config, p.feature_space());
-  ASSERT_TRUE(router_or.ok()) << router_or.status().to_string();
-  auto router = std::move(router_or).value();
-  const std::uint64_t checksum_v1 = router->provider()->checksum();
+  auto provider_or = serve::ModelProvider::from_file(
+      b.general_path, p.feature_space(),
+      {{b.service_a, b.head_a_path}, {b.service_b, b.head_b_path}});
+  ASSERT_TRUE(provider_or.ok()) << provider_or.status().to_string();
+  auto provider = std::move(provider_or).value();
+  const std::uint64_t checksum_v1 = provider->checksum();
 
   const auto& samples = p.split().test.samples;
   core::DiagnoseRequest request_a, request_b;
@@ -1050,16 +1056,16 @@ TEST(ModelRouter, ReloadIsAllOrNothingAcrossBundles) {
     if (samples[idx].service == b.service_b) request_b = request_for(idx);
   }
   core::DiagnoseResponse before_a =
-      router->provider()->current()->diagnose(request_a);
+      provider->current()->diagnose(request_a);
   core::DiagnoseResponse before_b =
-      router->provider()->current()->diagnose(request_b);
+      provider->current()->diagnose(request_b);
   ASSERT_TRUE(before_a.ok() && before_b.ok());
 
   // Unchanged files: a no-op poll.
   util::Status status;
-  EXPECT_FALSE(router->poll_and_reload(&status));
+  EXPECT_FALSE(provider->poll_and_reload(&status));
   EXPECT_TRUE(status.ok());
-  EXPECT_EQ(router->provider()->generation(), 1u);
+  EXPECT_EQ(provider->generation(), 1u);
 
   // Corrupting ONE bundle must refuse the whole reload: the previous merge
   // keeps serving every service (generations are atomic across bundles).
@@ -1071,11 +1077,11 @@ TEST(ModelRouter, ReloadIsAllOrNothingAcrossBundles) {
   std::filesystem::last_write_time(
       b.head_a_path, std::filesystem::file_time_type::clock::now() +
                          std::chrono::seconds(2));
-  EXPECT_FALSE(router->poll_and_reload(&status));
+  EXPECT_FALSE(provider->poll_and_reload(&status));
   EXPECT_FALSE(status.ok());
-  EXPECT_EQ(router->provider()->generation(), 1u);
+  EXPECT_EQ(provider->generation(), 1u);
   core::DiagnoseResponse during_a =
-      router->provider()->current()->diagnose(request_a);
+      provider->current()->diagnose(request_a);
   ASSERT_TRUE(during_a.ok());
   expect_bit_identical(during_a.diagnosis, before_a.diagnosis);
 
@@ -1093,15 +1099,15 @@ TEST(ModelRouter, ReloadIsAllOrNothingAcrossBundles) {
   std::filesystem::last_write_time(
       b.head_a_path, std::filesystem::file_time_type::clock::now() +
                          std::chrono::seconds(4));
-  EXPECT_TRUE(router->poll_and_reload(&status));
+  EXPECT_TRUE(provider->poll_and_reload(&status));
   EXPECT_TRUE(status.ok()) << status.to_string();
-  EXPECT_EQ(router->provider()->generation(), 2u);
-  EXPECT_NE(router->provider()->checksum(), checksum_v1);
+  EXPECT_EQ(provider->generation(), 2u);
+  EXPECT_NE(provider->checksum(), checksum_v1);
 
   core::DiagnoseResponse after_a =
-      router->provider()->current()->diagnose(request_a);
+      provider->current()->diagnose(request_a);
   core::DiagnoseResponse after_b =
-      router->provider()->current()->diagnose(request_b);
+      provider->current()->diagnose(request_b);
   ASSERT_TRUE(after_a.ok() && after_b.ok());
   EXPECT_NE(after_a.diagnosis.scores, before_a.diagnosis.scores)
       << "service A must serve the repaired bundle after the swap";
@@ -1128,10 +1134,8 @@ TEST(ModelRouter, RefusesAHeadFineTunedFromAnotherGeneral) {
   const std::string head_path = dir + "/router_seed_head.bin";
   ASSERT_TRUE(core::try_save_model_file(other, head_path).ok());
 
-  serve::ModelRouter::Config router;
-  router.default_path = general_path;
-  router.services = {{service, head_path}};
-  const auto created = serve::ModelRouter::create(router, p.feature_space());
+  const auto created = serve::ModelProvider::from_file(
+      general_path, p.feature_space(), {{service, head_path}});
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), util::StatusCode::kFailedPrecondition)
       << created.status().to_string();
@@ -1147,14 +1151,16 @@ TEST(ModelRouter, CreateFailsClosedOnBadBundle) {
     std::ofstream bad(bad_path, std::ios::trunc | std::ios::binary);
     bad << "garbage";
   }
-  serve::ModelRouter::Config config;
-  config.default_path = general_path;
-  config.services = {{0, bad_path}};
-  EXPECT_FALSE(serve::ModelRouter::create(config, p.feature_space()).ok());
+  EXPECT_FALSE(serve::ModelProvider::from_file(general_path,
+                                               p.feature_space(),
+                                               {{0, bad_path}})
+                   .ok());
 
   // Missing file: same fail-closed behavior.
-  config.services = {{0, dir + "/does_not_exist.bin"}};
-  EXPECT_FALSE(serve::ModelRouter::create(config, p.feature_space()).ok());
+  EXPECT_FALSE(serve::ModelProvider::from_file(
+                   general_path, p.feature_space(),
+                   {{0, dir + "/does_not_exist.bin"}})
+                   .ok());
 }
 
 }  // namespace

@@ -108,11 +108,11 @@ TEST_P(GemmSweep, MatchesNaiveReference) {
 
 TEST_P(GemmSweep, TransposedVariantsMatchExplicitTranspose) {
   const auto [m, k, n] = GetParam();
-  // gemm_at_b: A stored (k x m), computes A^T B.
+  // gemm_at_b_acc onto zeros: A stored (k x m), computes A^T B.
   const Matrix a_t = random_matrix(k, m, 300 + m);
   const Matrix b = random_matrix(k, n, 400 + n);
-  Matrix c;
-  gemm_at_b(a_t, b, c);
+  Matrix c(m, n);
+  gemm_at_b_acc(a_t, b, c);
   expect_gemm(c, transpose(a_t), b);
 
   // gemm_a_bt: B stored (n x k), computes A B^T.
@@ -229,21 +229,6 @@ TEST(Ops, AddRowBiasBroadcasts) {
   add_row_bias(m, bias);
   EXPECT_DOUBLE_EQ(m(0, 0), 11.0);
   EXPECT_DOUBLE_EQ(m(1, 1), 24.0);
-}
-
-TEST(Ops, SumRowsReducesToBiasGradient) {
-  const Matrix g{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
-  Matrix out;
-  sum_rows(g, out);
-  EXPECT_EQ(out.rows(), 1u);
-  EXPECT_DOUBLE_EQ(out(0, 0), 9.0);
-  EXPECT_DOUBLE_EQ(out(0, 1), 12.0);
-}
-
-TEST(Ops, DotIsFrobeniusInner) {
-  const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix b{{5.0, 6.0}, {7.0, 8.0}};
-  EXPECT_DOUBLE_EQ(dot(a, b), 5.0 + 12.0 + 21.0 + 32.0);
 }
 
 }  // namespace

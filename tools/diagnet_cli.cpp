@@ -71,7 +71,6 @@
 #include "obs/report.h"
 #include "serve/loadgen.h"
 #include "serve/reactor.h"
-#include "serve/router.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/statsz.h"
@@ -252,7 +251,8 @@ int cmd_train(const util::ParsedArgs& args) {
   std::cout << "Hidden-landmark split: " << split.train.size()
             << " train / " << split.test.size() << " test samples.\n";
 
-  // --threads and --epochs bound every specialisation, on both paths below.
+  // --threads and --epochs bound every specialisation, and --seed seeds it,
+  // on both paths below.
   const auto budget = [&](nn::TrainerConfig trainer) {
     trainer.threads = threads;
     if (epochs > 0)
@@ -280,7 +280,7 @@ int cmd_train(const util::ParsedArgs& args) {
       return 1;
     }
     const auto model = std::move(model_or).value();
-    model->set_specialization(budget(model->config().specialization));
+    model->set_specialization(budget(model->config().specialization), seed);
     std::cout << "Fine-tuning FC head for service " << service
               << " on frozen kernel from " << from << " (at most "
               << model->config().specialization.max_epochs
@@ -527,7 +527,7 @@ const util::ArgSpec kServeArgs[] = {
     {"service-models", util::ArgType::kString, "",
      "comma-separated id:path specialised head bundles merged onto --model"},
     {"watch", util::ArgType::kFlag, "",
-     "poll --model for newer bundles and hot-swap them atomically"},
+     "poll --model and every --service-models bundle; hot-swap atomically"},
     {"watch-interval-ms", util::ArgType::kUint, "500",
      "poll period for --watch"},
     {"admin-port", util::ArgType::kUint, "0",
@@ -555,34 +555,23 @@ int cmd_serve(const util::ParsedArgs& args) {
     return 1;
   }
 
-  // With --service-models the model is owned by a ModelRouter: it merges
-  // the general bundle with every per-service head and republishes the
-  // whole merge in one provider swap, so a reload can never mix bundle
-  // generations. Otherwise the plain single-file provider is used.
-  std::shared_ptr<serve::ModelProvider> provider;
-  std::shared_ptr<serve::ModelRouter> router;
-  if (!specs_or.value().empty()) {
-    serve::ModelRouter::Config router_config;
-    router_config.default_path = model_path;
-    router_config.services = std::move(specs_or).value();
-    auto router_or = serve::ModelRouter::create(router_config, fs);
-    if (!router_or.ok()) {
-      std::cerr << "error: " << router_or.status().message() << '\n';
-      return 1;
-    }
-    router = std::move(router_or).value();
-    provider = router->provider();
-    std::cerr << "serve: merged " << router_config.services.size()
-              << " specialised head bundle(s) onto the general model ("
-              << router->services().size() << " routable service(s))\n";
-  } else {
-    auto provider_or = serve::ModelProvider::from_file(model_path, fs);
-    if (!provider_or.ok()) {
-      std::cerr << "error: " << provider_or.status().message() << '\n';
-      return 1;
-    }
-    provider = std::move(provider_or).value();
+  // The provider merges every --service-models head onto the general
+  // bundle and, under --watch, republishes the whole merge in one swap, so
+  // a reload can never mix bundle generations.
+  const std::size_t head_bundles = specs_or.value().size();
+  auto provider_or = serve::ModelProvider::from_file(
+      model_path, fs, std::move(specs_or).value());
+  if (!provider_or.ok()) {
+    std::cerr << "error: " << provider_or.status().message() << '\n';
+    return 1;
   }
+  const std::shared_ptr<serve::ModelProvider> provider =
+      std::move(provider_or).value();
+  if (head_bundles > 0)
+    std::cerr << "serve: merged " << head_bundles
+              << " specialised head bundle(s) onto the general model ("
+              << provider->current()->specialized_services().size()
+              << " routable service(s))\n";
   std::cerr << "serve: kernel tier " << tensor::active_kernel_tier_name()
             << " (cpu " << tensor::cpu_features_string() << ")\n";
 
@@ -633,18 +622,11 @@ int cmd_serve(const util::ParsedArgs& args) {
   if (args.flag("watch")) {
     const auto interval =
         std::chrono::milliseconds(args.uint("watch-interval-ms"));
-    watcher = std::thread([&watch_stop, provider, router, model_path,
-                           interval, &fs] {
+    watcher = std::thread([&watch_stop, provider, interval] {
       while (!watch_stop.load()) {
         std::this_thread::sleep_for(interval);
         util::Status status;
-        // A router watches every merged bundle (general + heads) and
-        // republishes the full merge; the plain provider watches one file.
-        const bool swapped =
-            router != nullptr
-                ? router->poll_and_reload(&status)
-                : provider->poll_and_reload(model_path, fs, &status);
-        if (swapped)
+        if (provider->poll_and_reload(&status))
           std::cerr << "serve: hot-swapped model (generation "
                     << provider->generation() << ")\n";
         else if (!status.ok())
