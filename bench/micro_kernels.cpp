@@ -140,24 +140,52 @@ void bm_land_pooling_forward(benchmark::State& state) {
 }
 BENCHMARK(bm_land_pooling_forward);
 
-void bm_land_pooling_backward(benchmark::State& state) {
+/// One whole LandPooling pass on `rows` samples of 10 landmarks: the
+/// forward ranks every (sample, filter) once and the backward routes
+/// through that order, so a backward alone is no longer the cost to time.
+/// Reported per sample (items/s).
+template <typename Backward>
+void land_pooling_pass(benchmark::State& state, Backward backward) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
   util::Rng rng(5);
   nn::LandPooling pool(5, 24, nn::default_pool_ops(), rng);
-  const tensor::Matrix land = random_matrix(64, 10 * 5, 6);
-  const tensor::Matrix mask(64, 10, 1.0);
-  const tensor::Matrix grad = random_matrix(64, pool.out_features(), 7);
+  const tensor::Matrix land = random_matrix(rows, 10 * 5, 6);
+  const tensor::Matrix mask(rows, 10, 1.0);
+  const tensor::Matrix grad = random_matrix(rows, pool.out_features(), 7);
   nn::LandPooling::PoolContext ctx;
-  tensor::Matrix pooled, dland;
-  tensor::Matrix kernel_grad(24, 5), bias_grad(1, 24);
-  pool.forward(land, mask, ctx, pooled);
-  // Parameter and input gradients: the full training-plus-attention cost.
+  tensor::Matrix pooled;
   for (auto _ : state) {
-    pool.backward_params(grad, ctx, kernel_grad, bias_grad);
+    pool.forward(land, mask, ctx, pooled);
+    backward(pool, grad, ctx);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+
+/// forward + backward_input: the attention path, at the single-request
+/// (1) and batched-engine chunk (32) shapes.
+void bm_land_pooling_attention(benchmark::State& state) {
+  tensor::Matrix dland;
+  land_pooling_pass(state, [&](const nn::LandPooling& pool,
+                               const tensor::Matrix& grad,
+                               nn::LandPooling::PoolContext& ctx) {
     pool.backward_input(grad, ctx, dland);
     benchmark::DoNotOptimize(dland.data());
-  }
+  });
 }
-BENCHMARK(bm_land_pooling_backward);
+BENCHMARK(bm_land_pooling_attention)->Arg(1)->Arg(32);
+
+/// forward + backward_params: one trainer shard (16 rows).
+void bm_land_pooling_train(benchmark::State& state) {
+  tensor::Matrix kernel_grad(24, 5), bias_grad(1, 24);
+  land_pooling_pass(state, [&](const nn::LandPooling& pool,
+                               const tensor::Matrix& grad,
+                               nn::LandPooling::PoolContext& ctx) {
+    pool.backward_params(grad, ctx, kernel_grad, bias_grad);
+    benchmark::DoNotOptimize(kernel_grad.data());
+  });
+}
+BENCHMARK(bm_land_pooling_train)->Arg(16);
 
 /// Shared trained pipeline for the end-to-end benchmarks (built once).
 eval::Pipeline& shared_pipeline() {

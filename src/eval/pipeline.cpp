@@ -193,7 +193,7 @@ std::vector<std::size_t> Pipeline::rank(ModelKind kind,
       return ranking_from_scores(nb_.score_causes(flat));
     }
   }
-  DIAGNET_REQUIRE_MSG(false, "unknown model kind");
+  util::require_failed("kind", __FILE__, __LINE__, "unknown model kind");
 }
 
 std::vector<std::vector<std::size_t>> Pipeline::rank_all(

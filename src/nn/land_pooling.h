@@ -12,6 +12,11 @@
 // reduces the *sorted* available values, so the output is bit-identical —
 // not just mathematically equal — under any numbering of the landmarks.
 //
+// The forward ranks each (sample, filter) exactly once: it convolves all f
+// filters of a landmark together, then counts every filter's ranks over
+// order-preserving integer keys. The sorted order it keeps in PoolContext is
+// what both backward passes route through, so neither sorts again.
+//
 // The backward pass is exact for all operators, including the interpolated
 // deciles (gradient routed to the two order statistics that define the
 // interpolation). Input gradients are produced because the attention step
@@ -19,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "nn/layer.h"
@@ -54,20 +60,32 @@ class LandPooling {
   /// Per-thread forward/backward state: everything a backward pass needs
   /// lives here, never on the layer, so any number of threads can run
   /// forward/backward concurrently against one shared (const) LandPooling.
-  /// Holds pointers to the caller's land/mask batch, which must outlive
-  /// the matching backward call. All buffers are reused capacity-aware.
+  /// Holds a pointer to the caller's land batch, which must outlive the
+  /// matching backward call. All buffers are reused capacity-aware, so a
+  /// forward allocates nothing once the context has seen its shape.
+  ///
+  /// A sample's available landmarks are numbered by *slot* s < n, in
+  /// ascending landmark order. The forward keeps, per sample, that slot
+  /// list and, per (sample, filter), the convolved values, the sorted
+  /// order and the mean: 2·(L + 1) + 6·L·f + 4·f bytes per sample, 1.5 KB
+  /// at L = 10, f = 24.
   struct PoolContext {
     const Matrix* land = nullptr;
-    const Matrix* mask = nullptr;
     std::size_t batch = 0;
     std::size_t landmarks = 0;
-    std::vector<float> conv;   // (B, L, f) F[λ] values, 0 where unavailable
-    std::vector<float> dconv;  // routed pooled gradients, same layout
-    // sort/routing scratch
-    std::vector<float> values;
+    std::vector<std::uint16_t> avail_count;  // (B) available landmarks n
+    std::vector<std::uint16_t> avail;   // (B, L) slot -> landmark, s < n
+    std::vector<float> conv;            // (B, L, f) F of slot s's landmark
+    std::vector<std::uint16_t> order;   // (B, f, L) sorted position -> slot
+    std::vector<float> avg;             // (B, f) the forward's exact mean
+    // Per-sample scratch: the transposed kernel (k, f), rank keys and
+    // counts (L, f), one sample's sorted values (f, L), and the routed
+    // pooled gradients dF (L, f) of the sample being back-propagated.
+    std::vector<float> kernel_t;
+    std::vector<std::int32_t> key;
+    std::vector<std::int32_t> rank;
     std::vector<float> sorted;
-    std::vector<std::size_t> order;
-    std::vector<std::size_t> slot_lam;
+    std::vector<float> dconv;
   };
 
   /// k features per landmark, `filters` convolution filters, and the pooling
@@ -87,6 +105,8 @@ class LandPooling {
   /// Parameter gradients only: dK += Σ dF[λ] ⊗ x[λ] and db += Σ dF[λ]
   /// accumulated into the given (pre-zeroed) buffers. The input gradient is
   /// skipped entirely — training discards it, which saves the K^T·dF pass.
+  /// Neither backward changes what the forward kept, so one forward may be
+  /// followed by either backward, or by both in either order.
   void backward_params(const Matrix& grad_pooled, PoolContext& ctx,
                        Matrix& kernel_grad, Matrix& bias_grad) const;
 
@@ -110,16 +130,11 @@ class LandPooling {
   Parameter& bias() { return bias_; }
 
  private:
-  /// Convolution stage: F[λ] = K·x[λ] + b for every available landmark,
-  /// into `conv` (resized/zeroed here).
-  void compute_conv(const Matrix& land, const Matrix& mask,
-                    std::vector<float>& conv) const;
-  /// Pooling stage: the operator bank over ctx.conv, into `out`; ctx's
-  /// sort scratch is reused.
-  void pool_from_conv(const Matrix& mask, PoolContext& ctx, Matrix& out) const;
-  /// Stage 1 of both backward passes: route pooled gradients to the
-  /// per-(sample, landmark, filter) dF, into ctx.dconv (resized/zeroed).
-  void route_grads(const Matrix& grad_pooled, PoolContext& ctx) const;
+  /// Route sample i's pooled gradients through the forward's kept order to
+  /// the per-(slot, filter) dF, into ctx.dconv (resized/zeroed here): the
+  /// first stage of both backward passes.
+  void route_grads(const Matrix& grad_pooled, PoolContext& ctx,
+                   std::size_t i) const;
 
   std::size_t k_;
   std::size_t filters_;

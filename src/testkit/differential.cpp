@@ -220,9 +220,9 @@ void check_landpool_oracle(CaseContext& ctx) {
   }
 
   // A numerically hostile row (NaN, ±inf and overflowing features) leaves
-  // its batch-mates' bits untouched. Over 16 landmarks std::sort leaves
-  // its insertion-sort regime, so this also pins that the NaN-aware slot
-  // order stays a valid strict weak ordering.
+  // its batch-mates' bits untouched. Over 16 landmarks the AVX2 tier's
+  // reductions leave their sequential short path, so this also pins that
+  // a NaN row's ranks (NaNs last) stay row-local on the vector path.
   ctx.begin_case();
   const std::size_t wide = gen::dim(rng, 17, 40);
   const nn::LandBatch clean = gen::land_batch(rng, 2, wide, k, 1);
