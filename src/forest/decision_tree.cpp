@@ -85,12 +85,18 @@ class TreeBuilder {
       unique_ += weight_[r] > 0 ? 1 : 0;
     for (std::size_t f = 0; f < columns.cols(); ++f)
       searchable += columns.constant(f) ? 0 : 1;
-    lists_.reserve(searchable * unique_);
+    // Branch-free filter: every row is written, and the cursor advances
+    // past the drawn ones only. The last column's last write may land one
+    // past its list, hence the spare slot.
+    lists_.resize(searchable * unique_ + 1);
+    std::size_t out = 0;
     for (std::size_t f = 0; f < columns.cols(); ++f) {
       if (columns.constant(f)) continue;
-      offset_[f] = lists_.size();
-      for (std::uint32_t r : columns.order(f))
-        if (weight_[r] > 0) lists_.push_back(r);
+      offset_[f] = out;
+      for (std::uint32_t r : columns.order(f)) {
+        lists_[out] = r;
+        out += weight_[r] > 0 ? 1 : 0;
+      }
     }
     scratch_.resize(unique_);
   }
@@ -225,14 +231,17 @@ class TreeBuilder {
     for (std::size_t f = 0; f < columns_.cols(); ++f) {
       if (columns_.constant(f)) continue;
       std::uint32_t* rows = list(f);
+      // Branch-free: each row goes to both outputs, and only the one its
+      // goes_left_ flag picks advances.
       std::size_t out = begin;
       std::size_t spilled = 0;
       for (std::size_t i = begin; i < end; ++i) {
         const std::uint32_t r = rows[i];
-        if (goes_left_[r])
-          rows[out++] = r;
-        else
-          scratch_[spilled++] = r;
+        const std::size_t left = goes_left_[r];
+        rows[out] = r;
+        scratch_[spilled] = r;
+        out += left;
+        spilled += 1 - left;
       }
       std::copy(scratch_.begin(), scratch_.begin() + spilled, rows + out);
     }

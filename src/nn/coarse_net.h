@@ -49,12 +49,10 @@ struct CoarseWorkspace {
   Matrix grad_a, grad_b;     // ping-pong input-gradient buffers
   Matrix grad_pooled;        // concat gradient split, pooled part
   Matrix grad_local;         // concat gradient split, local part
-  std::vector<Matrix> param_grads;  // ordered like parameters(): owned only
-
-  /// Zero the parameter-gradient accumulators (start of every step).
-  void zero_param_grads() {
-    for (Matrix& g : param_grads) g.fill(0.0f);
-  }
+  /// Ordered like parameters(): owned only. backward() adds to them;
+  /// init_workspace() zeroes them and SgdOptimizer::step() leaves them
+  /// zeroed, so each training step starts from zero.
+  std::vector<Matrix> param_grads;
 };
 
 class CoarseNet {
@@ -80,12 +78,13 @@ class CoarseNet {
   const Matrix& forward_fc(const Matrix& pooled, const Matrix& local,
                            CoarseWorkspace& ws) const;
 
-  /// Parameter gradients only: accumulates into ws.param_grads
-  /// (zero_param_grads() first). Input gradients are not produced — the
-  /// training loop discards them, and skipping the LandPooling dx pass
-  /// saves a full K^T·dF sweep per step. The pass stops at the first layer
-  /// the net owns: a head computes its tail's gradients and nothing below
-  /// them. Each gradient is bit-identical to the general's full pass.
+  /// Parameter gradients only: accumulates into ws.param_grads, which
+  /// must start zeroed (see CoarseWorkspace). Input gradients are not
+  /// produced — the training loop discards them, and skipping the
+  /// LandPooling dx pass saves a full K^T·dF sweep per step. The pass
+  /// stops at the first layer the net owns: a head computes its tail's
+  /// gradients and nothing below them. Each gradient is bit-identical to
+  /// the general's full pass.
   void backward(const Matrix& grad_logits, CoarseWorkspace& ws) const;
 
   /// Input gradients only, after forward() or forward_fc() on `ws`: the FC

@@ -9,7 +9,7 @@
 // *features*, not just the weights.
 //
 // A network holds weights only. Parameter gradients go to the caller's
-// CoarseWorkspace::param_grads, and the trainer owns the reduced gradient
+// CoarseWorkspace::param_grads, and the trainer owns those accumulators
 // and the optimizer state, so a served net costs its weight bytes and
 // nothing more.
 #pragma once

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <memory>
 
 #include "nn/softmax.h"
 #include "obs/obs.h"
-#include "tensor/ops.h"
 #include "util/require.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -59,8 +56,8 @@ namespace {
 // Rows per shard. A shard is the unit of parallel work AND the unit of
 // gradient accumulation; it is a fixed constant — never derived from the
 // worker count — so the partition of a minibatch, the floating-point
-// reduction order inside each shard, and the ascending-shard reduction
-// below are all invariant under the number of threads. That is what makes
+// reduction order inside each shard, and the optimizer's ascending-shard
+// reduce are all invariant under the number of threads. That is what makes
 // training bit-identical for every TrainerConfig::threads value.
 constexpr std::size_t kShardRows = 16;
 
@@ -77,20 +74,20 @@ struct Shard {
 
 /// Data-parallel minibatch engine. Each step cuts the batch into fixed
 /// 16-row shards, runs gather / forward+loss / backward as parallel_for
-/// phases over the shards, then reduces per-shard gradient accumulators
-/// into the trainer's gradient buffers in ascending shard order.
+/// phases over the shards, then hands the per-shard gradient accumulators
+/// to the optimizer, which reduces them in ascending shard order, clips,
+/// updates and leaves every accumulator zeroed for the next step.
 class ShardEngine {
  public:
   ShardEngine(const CoarseNet& net, const CoarseDataset& data,
               util::ThreadPool& pool)
       : net_(net), data_(data), pool_(pool) {}
 
-  /// Forward + backward over rows[0, n). Accumulates dLoss/dParam for the
-  /// minibatch MEAN loss into `grads` (one per parameter, in parameters()
-  /// order, assumed zeroed, as SgdOptimizer leaves them) and returns the
-  /// summed per-sample loss.
+  /// Forward + backward over rows[0, n), then one optimizer step on the
+  /// gradient of the minibatch MEAN loss, clipped to global norm
+  /// `clip_norm`. Returns the summed per-sample loss.
   double train_step(const std::size_t* rows, std::size_t n,
-                    std::vector<Matrix>& grads) {
+                    SgdOptimizer& optimizer, double clip_norm) {
     std::size_t count = 0;
     {
       DIAGNET_SPAN("trainer.step.gather");
@@ -113,19 +110,15 @@ class ShardEngine {
       DIAGNET_SPAN("trainer.step.backward");
       pool_.parallel_for(count, [&](std::size_t s) {
         Shard& sh = shards_[s];
-        sh.ws.zero_param_grads();
         net_.backward(sh.ws.grad_logits, sh.ws);
       });
     }
-    {
-      DIAGNET_SPAN("trainer.step.reduce");
-      // Parallel over parameters; each parameter sums its shard accumulators
-      // in ascending shard order, so the result is thread-count invariant.
-      pool_.parallel_for(grads.size(), [&](std::size_t p) {
-        for (std::size_t s = 0; s < count; ++s)
-          tensor::axpy(1.0f, shards_[s].ws.param_grads[p], grads[p]);
-      });
-    }
+    accumulators_.resize(count);
+    for (std::size_t s = 0; s < count; ++s)
+      accumulators_[s] = &shards_[s].ws.param_grads;
+    // Counted every step, so a run that never clips reports 0.
+    const bool clipped = optimizer.step(accumulators_, clip_norm, pool_);
+    DIAGNET_COUNT_N("trainer.clip.fired", clipped ? 1 : 0);
     double loss = 0.0;
     for (std::size_t s = 0; s < count; ++s) loss += shards_[s].loss_sum;
     return loss;
@@ -173,6 +166,7 @@ class ShardEngine {
   const CoarseDataset& data_;
   util::ThreadPool& pool_;
   std::vector<Shard> shards_;
+  std::vector<std::vector<Matrix>*> accumulators_;  // shards_[0, count)
 };
 
 /// Resolve TrainerConfig::threads to a pool: 0 = the process-wide pool,
@@ -191,27 +185,6 @@ PoolChoice choose_pool(std::size_t threads) {
     choice.pool = choice.local.get();
   }
   return choice;
-}
-
-/// Global-norm gradient clipping (see TrainerConfig::clip_norm). The norm
-/// is summed in fixed parameter order on the caller thread, so the result
-/// — and therefore the whole training trajectory — is thread-count
-/// invariant.
-void clip_gradients(std::vector<Matrix>& grads, double clip) {
-  if (clip <= 0.0) return;
-  double sq = 0.0;  // a double sum over every squared fp32 gradient
-  for (const Matrix& grad : grads) {
-    const float* g = grad.data();
-    for (std::size_t i = 0; i < grad.size(); ++i)
-      sq += static_cast<double>(g[i]) * g[i];
-  }
-  const double norm = std::sqrt(sq);
-  if (!(norm > clip)) return;  // also skips NaN norms: nothing to rescue
-  const auto scale = static_cast<float>(clip / norm);
-  for (Matrix& grad : grads) {
-    float* g = grad.data();
-    for (std::size_t i = 0; i < grad.size(); ++i) g[i] *= scale;
-  }
 }
 
 /// Mean loss over `rows`, evaluated in blocks of `block` rows.
@@ -250,16 +223,12 @@ TrainingHistory train_coarse(CoarseNet& net, const CoarseDataset& data,
   std::vector<std::size_t> train_rows(rows.begin() + val_count, rows.end());
   DIAGNET_REQUIRE_MSG(!train_rows.empty(), "empty training split");
 
-  // The network holds weights only: the reduced minibatch gradient, one
-  // zeroed buffer per parameter, lives here for the length of the fit. A
-  // head hands over only its tail, so every buffer below (shard
-  // accumulators, reduce, clip, velocity, best snapshot) covers only that.
+  // The network holds weights only: the shard accumulators and the
+  // optimizer's velocity live here for the length of the fit. A head hands
+  // over only its tail, so every buffer below (shard accumulators, reduce,
+  // clip, velocity, best snapshot) covers only that.
   const std::vector<Parameter*> params = net.parameters();
   SgdOptimizer optimizer(params, config.sgd);
-  std::vector<Matrix> grads;
-  grads.reserve(params.size());
-  for (const Parameter* p : params)
-    grads.emplace_back(p->value.rows(), p->value.cols());
 
   PoolChoice pool = choose_pool(config.threads);
   ShardEngine engine(net, data, *pool.pool);
@@ -279,16 +248,9 @@ TrainingHistory train_coarse(CoarseNet& net, const CoarseDataset& data,
       DIAGNET_SPAN("trainer.step");
       const std::size_t end =
           std::min(train_rows.size(), begin + config.batch_size);
-      train_loss +=
-          engine.train_step(train_rows.data() + begin, end - begin, grads);
-      {
-        DIAGNET_SPAN("trainer.step.clip");
-        clip_gradients(grads, config.clip_norm);
-      }
-      {
-        DIAGNET_SPAN("trainer.step.optimizer");
-        optimizer.step(grads);
-      }
+      train_loss += engine.train_step(train_rows.data() + begin,
+                                      end - begin, optimizer,
+                                      config.clip_norm);
     }
     train_loss /= static_cast<double>(train_rows.size());
 

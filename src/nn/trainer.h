@@ -56,9 +56,11 @@ struct TrainerConfig {
   /// nominal), where momentum-aligned one-class gradients can otherwise
   /// drive the logits into a self-reinforcing exponential blow-up: gradient
   /// magnitude scales with the weights, so one oversized kick compounds to
-  /// inf/NaN within a few hundred steps. Clipping is applied after the
-  /// deterministic ascending-shard reduce, in fixed parameter order, so
-  /// the trajectory stays bit-identical for every thread count.
+  /// inf/NaN within a few hundred steps. The norm comes from
+  /// SgdOptimizer::step's reduce pass: a double sum of squares per fixed
+  /// 4096-float slice of the ascending-shard reduced gradient, the slice
+  /// sums added in slice order, so the trajectory stays bit-identical for
+  /// every thread count. Each step that clips counts `trainer.clip.fired`.
   double clip_norm = 100.0;
   SgdConfig sgd;
   std::uint64_t seed = 1;
@@ -70,7 +72,7 @@ struct TrainerConfig {
   /// value: each minibatch is cut into fixed 16-row shards (a partition
   /// that depends only on the batch, never on the worker count), each
   /// shard's gradients go to its own accumulator, and shard results are
-  /// reduced in ascending shard order.
+  /// reduced in ascending shard order over fixed 4096-float slices.
   std::size_t threads = 0;
 };
 

@@ -15,6 +15,7 @@
 #include "testkit/fuzz.h"
 #include "testkit/invariants.h"
 #include "testkit/landpool_oracle.h"
+#include "testkit/sgd_oracle.h"
 #include "testkit/simd.h"
 #include "util/binary_io.h"
 
@@ -73,6 +74,7 @@ const std::vector<Suite>& all_suites() {
          check_landpool_grad(ctx);
        }},
       {"oracle.landpool_bits", check_landpool_bits},
+      {"oracle.sgd_step", check_sgd_step},
       {"oracle.attention", check_attention_batch},
       {"oracle.kernel_tiers", check_kernel_tiers},
       {"oracle.forest_fit", check_forest_fit},

@@ -11,6 +11,7 @@
 #include "nn/trainer.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace diagnet::nn {
 namespace {
@@ -18,6 +19,13 @@ namespace {
 /// A hand-checked fp32 step: at most four roundings (gradient with decay,
 /// velocity, look-ahead, weight) on values of unit magnitude or less.
 constexpr double kStepTol = 4.0 * FLT_EPSILON;
+
+/// One unclipped optimizer step from a single gradient accumulator.
+void step_once(SgdOptimizer& opt, std::vector<Matrix>& grads) {
+  util::ThreadPool serial(1);
+  std::vector<Matrix>* shard = &grads;
+  opt.step({&shard, 1}, 0.0, serial);
+}
 
 TEST(Sgd, PlainMomentumStepMatchesHand) {
   Parameter p(Matrix{{1.0}});
@@ -28,13 +36,13 @@ TEST(Sgd, PlainMomentumStepMatchesHand) {
   config.weight_decay = 0.0;
   config.nesterov = false;
   SgdOptimizer opt({&p}, config);
-  opt.step(grads);
+  step_once(opt, grads);
   // v = -0.1 * 0.5 = -0.05; w = 1 - 0.05 = 0.95.
   EXPECT_NEAR(p.value(0, 0), 0.95, kStepTol);
   EXPECT_DOUBLE_EQ(grads[0](0, 0), 0.0);  // grads cleared
 
   grads[0](0, 0) = 0.5;
-  opt.step(grads);
+  step_once(opt, grads);
   // v = 0.9*(-0.05) - 0.05 = -0.095; w = 0.95 - 0.095 = 0.855.
   EXPECT_NEAR(p.value(0, 0), 0.855, 2.0 * kStepTol);  // two steps
 }
@@ -48,7 +56,7 @@ TEST(Sgd, NesterovStepMatchesHand) {
   config.weight_decay = 0.0;
   config.nesterov = true;
   SgdOptimizer opt({&p}, config);
-  opt.step(grads);
+  step_once(opt, grads);
   // v = -0.05; w += 0.9*(-0.05) - 0.05 = -0.095 -> 0.905.
   EXPECT_NEAR(p.value(0, 0), 0.905, kStepTol);
 }
@@ -61,7 +69,7 @@ TEST(Sgd, WeightDecayPullsTowardZero) {
   config.momentum = 0.0;
   config.weight_decay = 0.01;
   SgdOptimizer opt({&p}, config);
-  opt.step(grads);
+  step_once(opt, grads);
   EXPECT_LT(p.value(0, 0), 10.0);
   EXPECT_GT(p.value(0, 0), 9.9);
 }

@@ -12,6 +12,7 @@
 #include "nn/coarse_net.h"
 #include "nn/softmax.h"
 #include "nn/trainer.h"
+#include "obs/telemetry.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
 
@@ -124,6 +125,42 @@ TEST(TrainerParallel, HeadBitIdenticalAcrossThreadCounts) {
   train_coarse(general, synthetic_dataset(300, 71), config);
   expect_thread_invariant(synthetic_dataset(120, 76),
                           [&] { return general.head(); });
+}
+
+TEST(TrainerParallel, ClipFiringBitIdenticalAcrossThreadCounts) {
+  // FC1's weight (26 x 300 = 7800 floats) spans two optimizer slices, the
+  // second one partial, and a tiny clip_norm fires the clip on every step:
+  // the per-slice norm and the scaled update must not depend on the pool.
+  CoarseNetConfig net_config = synthetic_net_config();
+  net_config.hidden = {300, 8};
+  const CoarseDataset data = synthetic_dataset(300, 77);
+  TrainerConfig config;
+  config.max_epochs = 3;
+  config.batch_size = 37;
+  config.seed = 78;
+  config.clip_norm = 1e-3;
+
+  obs::Registry::instance().reset_for_test();
+  obs::set_enabled(true);
+  std::vector<double> ref_params;
+  for (const std::size_t threads : {1u, 2u, 4u, 0u}) {
+    util::Rng rng(79);
+    CoarseNet net(net_config, rng);
+    config.threads = threads;
+    obs::Counter& fired =
+        obs::Registry::instance().counter("trainer.clip.fired");
+    fired.reset();
+    const TrainingHistory history = train_coarse(net, data, config);
+    // 300 rows less the 10% validation split, in batches of 37.
+    const std::size_t steps = history.epochs_run() * ((270 + 36) / 37);
+    EXPECT_EQ(fired.value(), steps) << "threads=" << threads;
+    const std::vector<double> params = net.save_parameters();
+    if (ref_params.empty()) ref_params = params;
+    EXPECT_TRUE(bits_equal(params, ref_params))
+        << "serialized model differs at threads=" << threads;
+  }
+  obs::set_enabled(false);
+  obs::Registry::instance().reset_for_test();
 }
 
 TEST(TrainerParallel, GatherIntoBufferMatchesAllocatingGather) {
