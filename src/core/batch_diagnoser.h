@@ -11,13 +11,16 @@
 // on the general's one LandPooling, so inside a chunk the pooling stage
 // (forward and input-only backward) runs ONCE for all services and only
 // the FC stacks fan out per head (core/attention.h); occlusion attention
-// walks each head's rows one by one. Everything after attention is per-row.
+// walks each head's rows one by one. After attention, one
+// complete_diagnosis call per chunk scores the chunk's rows with one forest
+// walk; Algorithm 1, the ensemble and the ranking run per row.
 //
 // Exactness contract: run(requests)[i].diagnosis is bit-identical to
 // run({requests[i]})[0].diagnosis, i.e. to model.diagnose(requests[i]) —
 // every per-row computation (GEMM accumulation order, land pooling,
-// softmax, the score pipeline) is independent of the other rows of the
-// batch, of batch_size, and of the thread count. The property test in
+// softmax, the forest's lanes and tree-ordered sum, the score pipeline) is
+// independent of the other rows of the batch, of batch_size, and of the
+// thread count. The property test in
 // tests/test_batch_diagnoser.cpp pins this, and the serving subsystem
 // (src/serve) relies on it to coalesce concurrent callers without changing
 // any answer. The same independence keeps a bad row from failing its

@@ -62,13 +62,29 @@ class DecisionTree {
            const TreeConfig& config, util::Rng& rng);
 
   /// Class distribution at the leaf reached by `sample` (sums to 1):
-  /// `classes()` values owned by the tree.
+  /// `classes()` values owned by the tree. The one-lane call of walk().
   const double* leaf_proba(const double* sample) const;
 
+  /// Lanes walk() moves together: enough independent node loads to
+  /// overlap their cache misses, few enough to keep the lane state in L1.
+  static constexpr std::size_t kWalkLanes = 64;
+
+  /// Walks `lanes` (tree, row) pairs, at most kWalkLanes, to their leaves
+  /// in lockstep: leaves[k] = trees[k]->leaf_proba(rows[k]). Every sweep
+  /// moves each lane one level down without a branch on the data, and the
+  /// walk runs as many sweeps as its deepest tree has levels below the
+  /// root, measured when the tree was fitted or loaded: it assumes no
+  /// depth. Each row must hold at least one value.
+  static void walk(const DecisionTree* const* trees,
+                   const double* const* rows, std::size_t lanes,
+                   const double** leaves);
+
   std::size_t node_count() const { return nodes_.size(); }
-  std::size_t depth() const;
+  /// Levels of the tree, counting the root's (1 for a lone leaf).
+  std::size_t depth() const { return depth_; }
   std::size_t classes() const { return classes_; }
-  bool trained() const { return !nodes_.empty(); }
+  /// Set once a fit or load completes.
+  bool trained() const { return depth_ != 0; }
   /// One past the largest split feature; 0 when the tree is one leaf.
   std::size_t feature_bound() const;
 
@@ -82,17 +98,29 @@ class DecisionTree {
   friend class TreeBuilder;
 
   // Nodes in preorder: an internal node's left child is the next node.
+  // A leaf is a node the walk cannot leave: it splits on feature 0 at a
+  // quiet-NaN threshold (x < NaN is false for every x) and its `next` is
+  // its own index. The NaN's payload is the offset of its class
+  // distribution in proba_.
   struct Node {
-    std::int32_t feature = -1;  // split on feature < threshold; -1: leaf
-    // Internal node: index of the right child. Leaf: offset of its class
-    // distribution in proba_.
-    std::int32_t next = -1;
+    std::int32_t feature = 0;  // split on feature < threshold
+    std::int32_t next = 0;     // index of the right child; a leaf's own
     double threshold = 0.0;
   };
+
+  /// The leaf at index `self` whose distribution starts at proba_[offset].
+  static Node leaf_node(std::int32_t self, std::size_t offset);
+  bool is_leaf(std::size_t i) const {
+    return static_cast<std::size_t>(nodes_[i].next) == i;
+  }
+  const double* leaf_distribution(const Node& leaf) const;
+  /// Sets depth_ from the nodes; fit and load end with it.
+  void measure_depth();
 
   std::vector<Node> nodes_;
   std::vector<double> proba_;  // every leaf's distribution, in preorder
   std::size_t classes_ = 0;
+  std::size_t depth_ = 0;  // 0 until a fit or load completes
 };
 
 }  // namespace diagnet::forest

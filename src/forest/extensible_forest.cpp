@@ -48,16 +48,28 @@ void ExtensibleForest::fit(const Matrix& x,
 
 std::vector<double> ExtensibleForest::score_causes(
     const double* sample) const {
-  DIAGNET_SPAN("forest.score");
-  DIAGNET_COUNT("forest.predictions");
-  DIAGNET_REQUIRE_MSG(trained(), "score on an unfitted model");
-  const std::vector<double> proba = forest_.predict_proba(sample);
-  const double unknown_share =
-      proba.back() / static_cast<double>(total_causes_);
-  std::vector<double> scores(total_causes_, unknown_share);
-  for (std::size_t c = 0; c < class_to_cause_.size(); ++c)
-    scores[class_to_cause_[c]] += proba[c];
+  std::vector<double> scores(total_causes_);
+  score_rows(sample, 1, 0, scores.data());
   return scores;
+}
+
+void ExtensibleForest::score_rows(const double* x, std::size_t n,
+                                  std::size_t width, double* out) const {
+  DIAGNET_SPAN("forest.score");
+  DIAGNET_COUNT_N("forest.predictions", n);
+  DIAGNET_REQUIRE_MSG(trained(), "score on an unfitted model");
+  const std::size_t classes = forest_.classes();
+  std::vector<double> proba(n * classes);
+  forest_.predict_proba_rows(x, n, width, proba.data());
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* p = proba.data() + r * classes;
+    double* scores = out + r * total_causes_;
+    // The unknown class's mass is shared evenly by every cause.
+    std::fill(scores, scores + total_causes_,
+              p[classes - 1] / static_cast<double>(total_causes_));
+    for (std::size_t c = 0; c < class_to_cause_.size(); ++c)
+      scores[class_to_cause_[c]] += p[c];
+  }
 }
 
 std::vector<double> ExtensibleForest::score_causes(

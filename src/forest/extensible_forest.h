@@ -30,9 +30,17 @@ class ExtensibleForest {
            std::size_t total_causes, const ForestConfig& config,
            std::uint64_t seed);
 
-  /// Scores over all root causes (length total_causes, sums to 1).
+  /// Scores over all root causes (length total_causes, sums to 1): the
+  /// one-row call of score_rows.
   std::vector<double> score_causes(const double* sample) const;
   std::vector<double> score_causes(const std::vector<double>& sample) const;
+
+  /// score_causes of the n rows of x (row r starts at x + r * width, and
+  /// holds the fitted feature space) into out, n x total_causes(); row r's
+  /// scores are the bits score_causes gives it alone. One forest walk for
+  /// all rows (RandomForest::predict_proba_rows).
+  void score_rows(const double* x, std::size_t n, std::size_t width,
+                  double* out) const;
 
   /// Probability assigned to the "unknown" (nominal) class before
   /// redistribution — exposed for diagnostics and tests.

@@ -31,15 +31,46 @@ void RandomForest::fit(const Matrix& x, const std::vector<std::size_t>& y,
 }
 
 std::vector<double> RandomForest::predict_proba(const double* sample) const {
-  DIAGNET_REQUIRE_MSG(trained(), "predict on an unfitted forest");
-  std::vector<double> proba(classes_, 0.0);
-  for (const auto& tree : trees_) {
-    const double* p = tree.leaf_proba(sample);
-    for (std::size_t c = 0; c < classes_; ++c) proba[c] += p[c];
-  }
-  const double inv = 1.0 / static_cast<double>(trees_.size());
-  for (auto& p : proba) p *= inv;
+  std::vector<double> proba(classes_);
+  predict_proba_rows(sample, 1, 0, proba.data());
   return proba;
+}
+
+void RandomForest::predict_proba_rows(const double* x, std::size_t n,
+                                      std::size_t width, double* out) const {
+  DIAGNET_REQUIRE_MSG(trained(), "predict on an unfitted forest");
+  // Lane k is tree k / n and row k % n.
+  const std::size_t lanes = trees_.size() * n;
+  std::vector<const double*> leaves(lanes);
+  const DecisionTree* tree[DecisionTree::kWalkLanes];
+  const double* row[DecisionTree::kWalkLanes];
+  std::size_t t = 0, r = 0;
+  for (std::size_t begin = 0; begin < lanes;
+       begin += DecisionTree::kWalkLanes) {
+    const std::size_t block =
+        std::min(DecisionTree::kWalkLanes, lanes - begin);
+    for (std::size_t k = 0; k < block; ++k) {
+      tree[k] = &trees_[t];
+      row[k] = x + r * width;
+      if (++r == n) {
+        r = 0;
+        ++t;
+      }
+    }
+    DecisionTree::walk(tree, row, block, leaves.data() + begin);
+  }
+
+  // Each row adds its trees' leaves from 0 in ascending tree order.
+  const double inv = 1.0 / static_cast<double>(trees_.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    double* proba = out + i * classes_;
+    std::fill(proba, proba + classes_, 0.0);
+    for (std::size_t j = 0; j < trees_.size(); ++j) {
+      const double* p = leaves[j * n + i];
+      for (std::size_t c = 0; c < classes_; ++c) proba[c] += p[c];
+    }
+    for (std::size_t c = 0; c < classes_; ++c) proba[c] *= inv;
+  }
 }
 
 std::vector<double> RandomForest::predict_proba(

@@ -23,9 +23,18 @@ class RandomForest {
            std::size_t classes, const ForestConfig& config,
            std::uint64_t seed);
 
-  /// Mean of per-tree leaf distributions (sums to 1).
+  /// Mean of per-tree leaf distributions (sums to 1): the one-row call of
+  /// predict_proba_rows.
   std::vector<double> predict_proba(const double* sample) const;
   std::vector<double> predict_proba(const std::vector<double>& sample) const;
+
+  /// predict_proba of the n rows of x (row r starts at x + r * width) into
+  /// out, n x classes(). The (tree, row) pairs walk as lanes, tree-major,
+  /// in blocks of DecisionTree::kWalkLanes; each row then adds its trees'
+  /// leaf distributions in ascending tree order, as predict_proba did, so
+  /// the result does not depend on n.
+  void predict_proba_rows(const double* x, std::size_t n, std::size_t width,
+                          double* out) const;
 
   /// argmax of predict_proba.
   std::size_t predict(const double* sample) const;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
+#include "forest/extensible_forest.h"
 #include "util/binary_io.h"
 #include "util/require.h"
 
@@ -187,6 +189,84 @@ std::string reference_forest_bytes(const tensor::Matrix& x,
   return os.str();
 }
 
+namespace {
+
+struct ParsedNode {
+  std::int64_t feature = -1;
+  double threshold = 0.0;
+  std::int64_t left = -1;
+  std::int64_t right = -1;
+  std::vector<double> proba;
+};
+
+/// An ExtensibleForest as ExtensibleForest::save writes it.
+struct ParsedForest {
+  std::size_t total_causes = 0;
+  std::vector<std::size_t> causes;
+  std::size_t classes = 0;
+  std::vector<std::vector<ParsedNode>> trees;
+};
+
+ParsedForest parse_forest(const std::string& bytes) {
+  std::istringstream is(bytes, std::ios::binary);
+  util::BinaryReader reader(is);
+  const auto i64 = [&] { return static_cast<std::int64_t>(reader.read_u64()); };
+  ParsedForest forest;
+  reader.expect_u64(0xe47e4500ULL, "ExtensibleForest");
+  forest.total_causes = static_cast<std::size_t>(reader.read_u64());
+  forest.causes = reader.read_indices();
+  reader.expect_u64(0xf03e5700ULL, "RandomForest");
+  forest.classes = static_cast<std::size_t>(reader.read_u64());
+  forest.trees.resize(static_cast<std::size_t>(reader.read_u64()));
+  for (std::vector<ParsedNode>& tree : forest.trees) {
+    reader.expect_u64(0xd7ee0001ULL, "DecisionTree");
+    reader.read_u64();  // the forest's class count again
+    tree.resize(static_cast<std::size_t>(reader.read_u64()));
+    for (ParsedNode& node : tree) {
+      node.feature = i64();
+      node.threshold = reader.read_double();
+      node.left = i64();
+      node.right = i64();
+      node.proba = reader.read_doubles();
+    }
+  }
+  return forest;
+}
+
+}  // namespace
+
+std::vector<double> reference_forest_scores(const std::string& forest_bytes,
+                                            const double* x, std::size_t n,
+                                            std::size_t width) {
+  const ParsedForest forest = parse_forest(forest_bytes);
+  const std::size_t causes = forest.total_causes;
+  std::vector<double> out(n * causes);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* row = x + r * width;
+    std::vector<double> proba(forest.classes, 0.0);
+    for (const std::vector<ParsedNode>& tree : forest.trees) {
+      std::size_t idx = 0;
+      while (tree[idx].feature >= 0) {
+        const ParsedNode& node = tree[idx];
+        if (row[node.feature] < node.threshold)
+          idx = static_cast<std::size_t>(node.left);
+        else
+          idx = static_cast<std::size_t>(node.right);
+      }
+      for (std::size_t c = 0; c < forest.classes; ++c)
+        proba[c] += tree[idx].proba[c];
+    }
+    const double inv = 1.0 / static_cast<double>(forest.trees.size());
+    for (double& p : proba) p *= inv;
+    double* scores = out.data() + r * causes;
+    std::fill(scores, scores + causes,
+              proba.back() / static_cast<double>(causes));
+    for (std::size_t c = 0; c < forest.causes.size(); ++c)
+      scores[forest.causes[c]] += proba[c];
+  }
+  return out;
+}
+
 }  // namespace oracle
 
 namespace {
@@ -289,6 +369,97 @@ void check_forest_fit(CaseContext& ctx) {
       ctx.check(reloaded<forest::RandomForest>(got) == got,
                 "forest save(load(bytes)) differs" + shape);
     }
+  }
+}
+
+void check_forest_score(CaseContext& ctx) {
+  util::Rng& rng = ctx.rng;
+  // One extensible forest per iteration: causes 0..total-1 plus nominal
+  // rows, fitted with the fit suite's designs and tree settings.
+  const std::size_t n = 2 + rng.uniform_index(200);
+  const std::size_t m = 1 + rng.uniform_index(10);
+  const std::size_t total = 1 + rng.uniform_index(12);
+  const tensor::Matrix x = design(rng, n, m);
+  std::vector<std::size_t> y(n);
+  for (auto& label : y)
+    label = rng.uniform_index(3) == 0 ? forest::ExtensibleForest::kNominal
+                                      : rng.uniform_index(total);
+  y[0] = rng.uniform_index(total);  // at least one faulty row
+  forest::ForestConfig config;
+  config.n_estimators = 1 + rng.uniform_index(60);
+  config.tree = tree_config(rng, m);
+  forest::ExtensibleForest model;
+  model.fit(x, y, total, config, rng.next_u64());
+  const std::string bytes = bytes_of(model);
+
+  // Every split threshold, by feature: a query equal to one is a tie,
+  // which goes right.
+  std::vector<std::vector<double>> thresholds(m);
+  for (const auto& tree : oracle::parse_forest(bytes).trees)
+    for (const auto& node : tree)
+      if (node.feature >= 0)
+        thresholds[static_cast<std::size_t>(node.feature)].push_back(
+            node.threshold);
+
+  const auto query = [&](std::size_t f) -> double {
+    switch (rng.uniform_index(6)) {
+      case 0:
+        return x(rng.uniform_index(n), f);
+      case 1:
+        if (!thresholds[f].empty())
+          return thresholds[f][rng.uniform_index(thresholds[f].size())];
+        return x(rng.uniform_index(n), f);
+      case 2:
+        return 0.0;
+      case 3:
+        return -0.0;
+      case 4: {
+        const double far =
+            std::ldexp(1.0, 20 + static_cast<int>(rng.uniform_index(1000)));
+        return rng.uniform_index(2) == 0 ? far : -far;
+      }
+      default:
+        return 2.0 * rng.normal();
+    }
+  };
+
+  // A chunk of one, then chunks whose lane blocks end partial and whose
+  // trees' lanes straddle two blocks.
+  const std::size_t sizes[3] = {1 + rng.uniform_index(4),
+                                1 + rng.uniform_index(130),
+                                65 + rng.uniform_index(66)};
+  for (const std::size_t rows : sizes) {
+    ctx.begin_case();
+    // Padding past column m is NaN: a wrong stride shows.
+    const std::size_t width = m + rng.uniform_index(3);
+    std::vector<double> q(rows * width, std::nan(""));
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t f = 0; f < m; ++f) q[r * width + f] = query(f);
+
+    std::vector<double> got(rows * total);
+    model.score_rows(q.data(), rows, width, got.data());
+    const std::vector<double> want =
+        oracle::reference_forest_scores(bytes, q.data(), rows, width);
+    const std::string shape =
+        " (rows=" + std::to_string(rows) + " trees=" +
+        std::to_string(config.n_estimators) + " m=" + std::to_string(m) +
+        " causes=" + std::to_string(total) + ")";
+    std::size_t chunk_bad = rows, alone_bad = rows;
+    for (std::size_t r = rows; r-- > 0;) {
+      const double* expect = want.data() + r * total;
+      if (std::memcmp(got.data() + r * total, expect,
+                      total * sizeof(double)) != 0)
+        chunk_bad = r;
+      const std::vector<double> alone = model.score_causes(q.data() + r * width);
+      if (std::memcmp(alone.data(), expect, total * sizeof(double)) != 0)
+        alone_bad = r;
+    }
+    ctx.check(chunk_bad == rows,
+              "chunk row " + std::to_string(chunk_bad) +
+                  " differs from the reference walk" + shape);
+    ctx.check(alone_bad == rows,
+              "score_causes of row " + std::to_string(alone_bad) +
+                  " differs from the reference walk" + shape);
   }
 }
 

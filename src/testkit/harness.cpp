@@ -78,6 +78,7 @@ const std::vector<Suite>& all_suites() {
       {"oracle.attention", check_attention_batch},
       {"oracle.kernel_tiers", check_kernel_tiers},
       {"oracle.forest_fit", check_forest_fit},
+      {"oracle.forest_score", check_forest_score},
       {"invariant.permutation",
        [](CaseContext& ctx) {
          check_pooling_permutation(ctx);

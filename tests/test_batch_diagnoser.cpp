@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -18,6 +19,7 @@
 #include "core/batch_diagnoser.h"
 #include "core/diagnet.h"
 #include "eval/pipeline.h"
+#include "obs/obs.h"
 #include "util/thread_pool.h"
 
 namespace diagnet {
@@ -184,6 +186,47 @@ TEST(BatchDiagnoser, ZeroBatchSizeThrows) {
   core::BatchDiagnoserConfig config;
   config.batch_size = 0;
   EXPECT_THROW(core::BatchDiagnoser(p.diagnet(), config), std::exception);
+}
+
+TEST(BatchDiagnoser, ForestCountersAdvanceByTheScoredRows) {
+  // The forest scores a chunk per call, so forest.score is one span per
+  // chunk; forest.predictions and diagnet.ensemble.blends still count rows,
+  // and only rows that reach the score stage.
+  auto& p = pipeline();
+  ASSERT_TRUE(p.diagnet().config().use_ensemble);
+  const std::vector<std::size_t> indices = p.faulty_test_indices();
+  ASSERT_FALSE(indices.empty());
+  std::vector<core::DiagnoseRequest> requests;
+  for (std::size_t i = 0; i < 256; ++i)
+    requests.push_back(request_for(indices[i % indices.size()]));
+  requests[17].features[3] = std::nan("");
+  requests[200].landmark_available.assign(
+      requests[200].landmark_available.size(), false);
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "telemetry is forced off";
+  obs::Counter& predictions =
+      obs::Registry::instance().counter("forest.predictions");
+  obs::Counter& blends =
+      obs::Registry::instance().counter("diagnet.ensemble.blends");
+  const std::uint64_t predictions_before = predictions.value();
+  const std::uint64_t blends_before = blends.value();
+  util::ThreadPool pool(2);
+  core::BatchDiagnoserConfig config;
+  config.batch_size = 32;
+  config.pool = &pool;
+  const auto got = core::BatchDiagnoser(p.diagnet(), config).run(requests);
+  obs::set_enabled(was_enabled);
+
+  std::uint64_t scored = 0;
+  for (const core::DiagnoseResponse& response : got)
+    scored += response.ok() ? 1 : 0;
+  EXPECT_EQ(scored, 254u);
+  EXPECT_FALSE(got[17].ok());
+  EXPECT_FALSE(got[200].ok());
+  EXPECT_EQ(predictions.value() - predictions_before, scored);
+  EXPECT_EQ(blends.value() - blends_before, scored);
 }
 
 /// Request poisons that must fail alone: a landmark mask with nothing

@@ -202,8 +202,11 @@ TEST(ExtensibleForest, RecognisesTrainedCause) {
   std::vector<double> sample(6, 0.0);
   sample[2] = 5.0;  // clear cause-2 signature
   const auto scores = model.score_causes(sample);
-  for (std::size_t c = 0; c < 6; ++c)
-    if (c != 2) EXPECT_GT(scores[2], scores[c]);
+  for (std::size_t c = 0; c < 6; ++c) {
+    if (c != 2) {
+      EXPECT_GT(scores[2], scores[c]);
+    }
+  }
 }
 
 TEST(ExtensibleForest, UnseenCausesShareRedistributedMassEqually) {
