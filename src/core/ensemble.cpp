@@ -7,8 +7,7 @@
 namespace diagnet::core {
 
 std::vector<double> ensemble_average(
-    const std::vector<double>& gamma_tuned,
-    const std::vector<double>& auxiliary,
+    std::span<const double> gamma_tuned, std::span<const double> auxiliary,
     const std::vector<std::size_t>& unknown_features, double* w_unknown_out) {
   DIAGNET_REQUIRE(gamma_tuned.size() == auxiliary.size());
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace diagnet::core {
@@ -18,9 +19,17 @@ namespace diagnet::core {
 /// `unknown_features`: indices of the features U not seen during training.
 /// gamma_tuned and auxiliary must be distributions over the same m causes.
 std::vector<double> ensemble_average(
+    std::span<const double> gamma_tuned, std::span<const double> auxiliary,
+    const std::vector<std::size_t>& unknown_features,
+    double* w_unknown_out = nullptr);
+inline std::vector<double> ensemble_average(
     const std::vector<double>& gamma_tuned,
     const std::vector<double>& auxiliary,
     const std::vector<std::size_t>& unknown_features,
-    double* w_unknown_out = nullptr);
+    double* w_unknown_out = nullptr) {
+  return ensemble_average(std::span<const double>(gamma_tuned),
+                          std::span<const double>(auxiliary),
+                          unknown_features, w_unknown_out);
+}
 
 }  // namespace diagnet::core
